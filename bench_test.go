@@ -306,8 +306,10 @@ func BenchmarkServeDelta(b *testing.B) {
 
 // BenchmarkServeLookupParallel is the serving hot path under full
 // parallelism: engine lookups (metrics included) on known interface
-// addresses. The acceptance bar is >= 1M lookups/sec (ns/op <= 1000)
-// with 0 allocs/op.
+// addresses, at 0 allocs/op. Metering must stay well under the index
+// search it meters: on a 2-vCPU Xeon VM this reads ~90 ns/op metered
+// (~11M lookups/sec), against ~225 ns/op when every lookup read the
+// clock.
 func BenchmarkServeLookupParallel(b *testing.B) {
 	_, e, hits := serveFixture(b)
 	b.ReportAllocs()

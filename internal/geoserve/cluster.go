@@ -244,10 +244,10 @@ func sameIndex(a, b *Snapshot) bool {
 // routed to the owning shard (which records the lookup in its own
 // metrics). Allocation-free, like Engine.Lookup.
 func (c *Cluster) Lookup(mapper int, ip uint32) Answer {
-	start := time.Now()
-	v := c.view.Load()
-	a, code, sh := c.lookupOn(v, mapper, ip)
-	sh.st.m.record(mapper, code, time.Since(start), start)
+	sh, d := c.route(c.view.Load(), ip)
+	t0 := sh.st.m.start(ip)
+	a, code := d.lookup(mapper, ip)
+	sh.st.m.record(mapper, code, ip, t0)
 	return a
 }
 
@@ -256,7 +256,6 @@ func (c *Cluster) Lookup(mapper int, ip uint32) Answer {
 // and lookup all use one view load, so a concurrent swap cannot split
 // them.
 func (c *Cluster) Locate(mapperName string, ip uint32) (Answer, bool) {
-	start := time.Now()
 	v := c.view.Load()
 	idx := 0
 	if mapperName != "" {
@@ -265,25 +264,27 @@ func (c *Cluster) Locate(mapperName string, ip uint32) (Answer, bool) {
 			return Answer{IP: ip}, false
 		}
 	}
-	a, code, sh := c.lookupOn(v, idx, ip)
-	sh.st.m.record(idx, code, time.Since(start), start)
+	sh, d := c.route(v, ip)
+	t0 := sh.st.m.start(ip)
+	a, code := d.lookup(idx, ip)
+	sh.st.m.record(idx, code, ip, t0)
 	return a, true
 }
 
-// lookupOn routes ip on the given view and answers from the owning
-// shard's current data. While a swap to a different prefix topology is
-// mid-flight a shard's own data may not cover the routed range yet; the
-// view's split of the same epoch then serves instead, so every single
-// answer is wholly from one of the two live epochs.
-func (c *Cluster) lookupOn(v *clusterView, mapper int, ip uint32) (Answer, method, *Shard) {
+// route picks ip's owning shard on the given view and the data it
+// answers from: the shard's current data. While a swap to a different
+// prefix topology is mid-flight a shard's own data may not cover the
+// routed range yet; the view's split of the same epoch then serves
+// instead, so every single answer is wholly from one of the two live
+// epochs.
+func (c *Cluster) route(v *clusterView, ip uint32) (*Shard, *shardData) {
 	i := shardIndexOf(v.starts, ip)
 	sh := c.shards[i]
 	d := sh.data.Load()
 	if !d.owns(ip) {
 		d = v.datas[i]
 	}
-	a, code := d.lookup(mapper, ip)
-	return a, code, sh
+	return sh, d
 }
 
 // LookupBatch answers ips[i] into out[i] under the mapper with the
@@ -434,7 +435,6 @@ func scatterServe(tr *obs.Trace, serve func(shard int, shardOf []uint8), i int, 
 // shard (recording the lookup in that shard's metrics, exactly like
 // Locate) and returns the snapshot's cached response tail.
 func (c *Cluster) locateTail(mapperName string, ip uint32) ([]byte, bool) {
-	start := time.Now()
 	v := c.view.Load()
 	idx := 0
 	if mapperName != "" {
@@ -443,15 +443,11 @@ func (c *Cluster) locateTail(mapperName string, ip uint32) ([]byte, bool) {
 			return nil, false
 		}
 	}
-	i := shardIndexOf(v.starts, ip)
-	sh := c.shards[i]
-	d := sh.data.Load()
-	if !d.owns(ip) {
-		d = v.datas[i]
-	}
+	sh, d := c.route(v, ip)
+	t0 := sh.st.m.start(ip)
 	row := d.lookupRow(ip)
 	tail := d.snap.jsonTail(idx, row)
-	sh.st.m.record(idx, d.snap.rowMethod(idx, row), time.Since(start), start)
+	sh.st.m.record(idx, d.snap.rowMethod(idx, row), ip, t0)
 	return tail, true
 }
 
@@ -459,15 +455,16 @@ func (c *Cluster) locateTail(mapperName string, ip uint32) ([]byte, bool) {
 // coordinator totals summed across shards under the same names the
 // single-engine handler uses, scatter-gather counters, and a per-shard
 // section (latency histogram, lookups, sheds, in-flight) labeled by
-// shard index. Scrape-time readers only load atomics; nothing here
-// touches the serving hot path.
+// shard index. Scrape-time readers fold the shards' counter stripes
+// (the QPS gauge also takes each shard's reader-side sample lock);
+// nothing here touches the serving hot path.
 func (c *Cluster) registerMetrics(reg *obs.Registry) {
 	mappers := c.view.Load().snap.Mappers()
 	reg.CounterFunc("geoserve_requests_total",
 		"Lookups served across all mappers.", nil, func() uint64 {
 			var n uint64
 			for _, sh := range c.shards {
-				n += sh.st.m.total.Load()
+				n += sh.st.m.total()
 			}
 			return n
 		})
@@ -476,18 +473,13 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 			break
 		}
 		for code := method(0); code < numMethods; code++ {
-			name := methodNames[code]
-			if name == "" {
-				name = "unmapped"
-			}
-			mi, code := mi, code
 			reg.CounterFunc("geoserve_lookups_total",
 				"Lookups by mapper and resolution method.",
-				obs.Labels{{Key: "mapper", Value: mapper}, {Key: "method", Value: name}},
+				obs.Labels{{Key: "mapper", Value: mapper}, {Key: "method", Value: methodKey(code)}},
 				func() uint64 {
 					var n uint64
 					for _, sh := range c.shards {
-						n += sh.st.m.methods[mi][code].Load()
+						n += sh.st.m.count(mi, code)
 					}
 					return n
 				})
@@ -499,7 +491,7 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 			now := time.Now()
 			var qps float64
 			for _, sh := range c.shards {
-				qps += sh.st.m.windowQPS(now, 0)
+				qps += sh.st.m.windowQPS(now, c.cm.start)
 			}
 			return qps
 		})
@@ -525,7 +517,7 @@ func (c *Cluster) registerMetrics(reg *obs.Registry) {
 		reg.RegisterHistogram("geoserve_lookup_latency_seconds",
 			"Per-lookup serving latency.", labels, &sh.st.m.lat)
 		reg.CounterFunc("geoserve_shard_lookups_total",
-			"Lookups served by shard.", labels, sh.st.m.total.Load)
+			"Lookups served by shard.", labels, sh.st.m.total)
 		reg.CounterFunc("geoserve_shard_shed_total",
 			"Batches this shard's budget shed.", labels, sh.st.shed.Load)
 		reg.GaugeFunc("geoserve_shard_inflight",
@@ -550,9 +542,9 @@ func (c *Cluster) Status() ClusterStatus {
 	for i, sh := range c.shards {
 		d := sh.data.Load()
 		merged.Merge(&sh.st.m.lat)
-		n := sh.st.m.total.Load()
+		n := sh.st.m.total()
 		lookups += n
-		w := sh.st.m.windowQPS(now, 0)
+		w := sh.st.m.windowQPS(now, c.cm.start)
 		window += w
 		stats[i] = ShardStatus{
 			ID:           i,
@@ -567,25 +559,7 @@ func (c *Cluster) Status() ClusterStatus {
 			ShedBatches:  sh.st.shed.Load(),
 			Inflight:     sh.inflight.Load(),
 		}
-		for mi, name := range v.snap.mappers {
-			if mi >= maxMappers {
-				break
-			}
-			for code := method(0); code < numMethods; code++ {
-				n := sh.st.m.methods[mi][code].Load()
-				if n == 0 {
-					continue
-				}
-				key := methodNames[code]
-				if code == methodNone {
-					key = "unmapped"
-				}
-				if methods[name] == nil {
-					methods[name] = map[string]uint64{}
-				}
-				methods[name][key] += n
-			}
-		}
+		sh.st.m.methodCounts(methods, v.snap.mappers)
 	}
 	// Shed is loaded before the batch total so a concurrent shed can
 	// never make shed > batches and underflow the served count below.

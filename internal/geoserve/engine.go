@@ -44,7 +44,7 @@ func NewEngineFrom(s *Snapshot, prev *Engine) *Engine {
 
 // registerMetrics exposes the engine's serving families on reg.
 func (e *Engine) registerMetrics(reg *obs.Registry) {
-	e.m.register(reg, e.snap.Load().Mappers())
+	e.m.register(reg, e.snap.Load().Mappers(), e.start)
 	reg.CounterFunc("geoserve_snapshot_swaps_total",
 		"Snapshot hot-swaps since the serving metrics were created.", nil,
 		e.swaps.Load)
@@ -63,12 +63,13 @@ func (e *Engine) Swap(s *Snapshot) *Snapshot {
 }
 
 // Lookup answers one address under the mapper with the given index on
-// the current snapshot, recording latency and method metrics. This is
-// the in-process hot path: it allocates nothing.
+// the current snapshot, recording method metrics (and latency, when
+// the lookup is in the timed sample). This is the in-process hot path:
+// it allocates nothing.
 func (e *Engine) Lookup(mapper int, ip uint32) Answer {
-	start := time.Now()
+	t0 := e.m.start(ip)
 	a, code := e.snap.Load().lookup(mapper, ip)
-	e.m.record(mapper, code, time.Since(start), start)
+	e.m.record(mapper, code, ip, t0)
 	return a
 }
 
@@ -77,7 +78,7 @@ func (e *Engine) Lookup(mapper int, ip uint32) Answer {
 // first mapper). Name resolution and lookup use the same snapshot
 // load, so a concurrent hot-swap cannot split them.
 func (e *Engine) Locate(mapperName string, ip uint32) (Answer, bool) {
-	start := time.Now()
+	t0 := e.m.start(ip)
 	snap := e.snap.Load()
 	idx := 0
 	if mapperName != "" {
@@ -87,7 +88,7 @@ func (e *Engine) Locate(mapperName string, ip uint32) (Answer, bool) {
 		}
 	}
 	a, code := snap.lookup(idx, ip)
-	e.m.record(idx, code, time.Since(start), start)
+	e.m.record(idx, code, ip, t0)
 	return a, true
 }
 
@@ -109,7 +110,7 @@ func (e *Engine) serveWire(mapperID uint16, ips []uint32, out []byte, _ *obs.Tra
 		code := snap.wireAnswer(w, idx, ip, out[i*WireAnswerSize:])
 		counts[code]++
 	}
-	e.m.recordBatch(idx, &counts, uint64(len(ips)), time.Since(t0), t0)
+	e.m.recordBatch(idx, &counts, uint64(len(ips)), time.Since(t0))
 	return snap, true, nil
 }
 
@@ -117,7 +118,7 @@ func (e *Engine) serveWire(mapperID uint16, ips []uint32, out []byte, _ *obs.Tra
 // the mapper by name and returns the snapshot's cached response tail
 // for ip's answer row, recording the lookup exactly like Locate.
 func (e *Engine) locateTail(mapperName string, ip uint32) ([]byte, bool) {
-	start := time.Now()
+	t0 := e.m.start(ip)
 	snap := e.snap.Load()
 	idx := 0
 	if mapperName != "" {
@@ -128,7 +129,7 @@ func (e *Engine) locateTail(mapperName string, ip uint32) ([]byte, bool) {
 	}
 	row := snap.lookupRow(ip)
 	tail := snap.jsonTail(idx, row)
-	e.m.record(idx, snap.rowMethod(idx, row), time.Since(start), start)
+	e.m.record(idx, snap.rowMethod(idx, row), ip, t0)
 	return tail, true
 }
 
@@ -140,8 +141,8 @@ func (e *Engine) Status() Status {
 	uptime := now.Sub(e.start).Seconds()
 	st := Status{
 		UptimeSeconds: uptime,
-		Lookups:       e.m.total.Load(),
-		QPSWindow:     e.m.windowQPS(now, 0),
+		Lookups:       e.m.total(),
+		QPSWindow:     e.m.windowQPS(now, e.start),
 		LatencyP50Ns:  int64(e.m.lat.Quantile(0.50)),
 		LatencyP90Ns:  int64(e.m.lat.Quantile(0.90)),
 		LatencyP99Ns:  int64(e.m.lat.Quantile(0.99)),
@@ -151,26 +152,7 @@ func (e *Engine) Status() Status {
 	if uptime > 0 {
 		st.QPSLifetime = float64(st.Lookups) / uptime
 	}
-	for mi, name := range snap.mappers {
-		if mi >= maxMappers {
-			break
-		}
-		counts := map[string]uint64{}
-		for code := method(0); code < numMethods; code++ {
-			n := e.m.methods[mi][code].Load()
-			if n == 0 {
-				continue
-			}
-			key := methodNames[code]
-			if code == methodNone {
-				key = "unmapped"
-			}
-			counts[key] = n
-		}
-		if len(counts) > 0 {
-			st.Methods[name] = counts
-		}
-	}
+	e.m.methodCounts(st.Methods, snap.mappers)
 	return st
 }
 

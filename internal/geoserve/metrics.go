@@ -1,6 +1,7 @@
 package geoserve
 
 import (
+	"sync"
 	"sync/atomic"
 	"time"
 
@@ -10,7 +11,8 @@ import (
 // Histogram is the shared serving latency histogram — obs.Histogram,
 // re-exported so cmd/geoload and the status structs keep their
 // spelling. Recording is lock-free and allocation-free (one atomic add
-// after a small binary search over a fixed geometric ladder).
+// after a small binary search over a fixed geometric ladder). Serving
+// feeds it a sample, not every lookup: see metrics.
 type Histogram = obs.Histogram
 
 // HistogramBounds re-exports the histogram's coarse export-bucket
@@ -19,81 +21,203 @@ type Histogram = obs.Histogram
 func HistogramBounds() []uint64 { return obs.ExportBounds() }
 
 // maxMappers bounds the per-mapper method counters; snapshots compile
-// two mappers today, lookups under further ones are counted but not
-// attributed.
+// two mappers today, lookups under further ones are counted in the
+// otherMapper row but not attributed.
 const maxMappers = 4
 
-// ringSeconds sizes the sliding-window QPS ring.
-const ringSeconds = 16
+// otherMapper is the method-count row of lookups under a mapper index
+// outside [0, maxMappers): counted toward the total, never exported
+// per mapper.
+const otherMapper = maxMappers
 
-type secondCell struct {
-	sec atomic.Int64
-	n   atomic.Uint64
+const (
+	// stripeBits sizes the counter stripes: 1<<stripeBits of them.
+	stripeBits = 4
+	// sampleBits sets the timed-lookup rate: one address in
+	// 1<<sampleBits (64) is timed.
+	sampleBits = 6
+
+	numStripes  = 1 << stripeBits
+	stripeShift = 32 - stripeBits
+	sampleShift = stripeShift - sampleBits
+	sampleMask  = 1<<sampleBits - 1
+
+	// stripePad rounds a stripe up to whole 64-byte cache lines, so
+	// neighbouring stripes share at most the one line where they meet.
+	stripePad = (64 - (otherMapper+1)*int(numMethods)*8%64) % 64
+
+	// qpsMinWindow is the shortest span windowQPS measures a rate
+	// over; a read sooner than that after the last one reuses its rate.
+	qpsMinWindow = time.Second
+)
+
+// addrHash is a multiplicative (Fibonacci) hash of the address; its
+// top bits pick the counter stripe and the next ones decide whether a
+// lookup is timed.
+func addrHash(ip uint32) uint32 { return ip * 0x9E3779B1 }
+
+// stripe is one cache-line-padded set of exact method counters.
+type stripe struct {
+	methods [otherMapper + 1][numMethods]atomic.Uint64
+	_       [stripePad]byte
 }
 
-// metrics aggregates the serving counters /statusz reports. All state
-// is atomic; Record never blocks and never allocates.
-type metrics struct {
-	total   atomic.Uint64
-	methods [maxMappers][numMethods]atomic.Uint64
-	lat     Histogram
-	ring    [ringSeconds]secondCell
-}
-
-func (m *metrics) record(mapper int, code method, d time.Duration, now time.Time) {
-	m.total.Add(1)
-	if mapper >= 0 && mapper < maxMappers {
-		m.methods[mapper][code].Add(1)
+func (s *stripe) cell(mapper int, code method) *atomic.Uint64 {
+	if uint(mapper) >= maxMappers {
+		mapper = otherMapper
 	}
-	m.lat.Record(d)
-	m.ringAdd(now, 1)
+	return &s.methods[mapper][code]
+}
+
+// metrics aggregates the serving counters /statusz and /metrics
+// report, keeping the per-lookup cost to one atomic add on a counter
+// other goroutines rarely touch:
+//
+//   - Counts are exact but striped: a lookup adds 1 to its (mapper,
+//     method) cell in the stripe its address hashes to, and readers
+//     fold the stripes. The total is the sum of every cell, so there
+//     is no separate shared total counter.
+//   - Latency is sampled: one address in 64 (by the same hash) is
+//     timed, plus the first lookup a fresh metrics sees, each entering
+//     the histogram with weight 1. Untimed lookups never read the
+//     clock. Batches time each sub-batch with one clock pair.
+//   - QPS comes from the exact total, as its rate between the
+//     (time, total) samples readers take.
+//
+// Recording never blocks and never allocates.
+type metrics struct {
+	stripes [numStripes]stripe
+	lat     Histogram
+	// primed is set once a lookup has been timed; until then every
+	// lookup is.
+	primed atomic.Bool
+
+	// The last windowQPS sample and the rate it measured.
+	qpsMu   sync.Mutex
+	qpsAt   time.Time
+	qpsN    uint64
+	qpsRate float64
+}
+
+// start begins metering one lookup of ip: it returns the clock reading
+// a timed lookup measures from, or the zero Time for an untimed one.
+func (m *metrics) start(ip uint32) time.Time {
+	if addrHash(ip)>>sampleShift&sampleMask != 0 && m.primed.Load() {
+		return time.Time{}
+	}
+	return time.Now()
+}
+
+// record counts one lookup of ip answered by code under mapper, and
+// enters its latency when start timed it (t0 non-zero).
+func (m *metrics) record(mapper int, code method, ip uint32, t0 time.Time) {
+	m.stripes[addrHash(ip)>>stripeShift].cell(mapper, code).Add(1)
+	if !t0.IsZero() {
+		m.recordLatency(t0)
+	}
+}
+
+func (m *metrics) recordLatency(t0 time.Time) {
+	m.lat.Record(time.Since(t0))
+	if !m.primed.Load() {
+		m.primed.Store(true)
+	}
 }
 
 // recordBatch folds one shard sub-batch into the metrics: n lookups
 // with per-method counts accumulated locally by the caller, entering
 // the latency histogram at the sub-batch's per-lookup average.
-func (m *metrics) recordBatch(mapper int, counts *[numMethods]uint32, n uint64, elapsed time.Duration, now time.Time) {
+func (m *metrics) recordBatch(mapper int, counts *[numMethods]uint32, n uint64, elapsed time.Duration) {
 	if n == 0 {
 		return
 	}
-	m.total.Add(n)
-	if mapper >= 0 && mapper < maxMappers {
-		for code := range counts {
-			if c := counts[code]; c > 0 {
-				m.methods[mapper][code].Add(uint64(c))
-			}
+	// The elapsed time's low bits vary call to call, so they spread
+	// batches over the stripes as well as an address would.
+	s := &m.stripes[addrHash(uint32(elapsed))>>stripeShift]
+	for code, c := range counts {
+		if c > 0 {
+			s.cell(mapper, method(code)).Add(uint64(c))
 		}
 	}
 	m.lat.RecordN(elapsed/time.Duration(n), n)
-	m.ringAdd(now, n)
 }
 
-func (m *metrics) ringAdd(now time.Time, n uint64) {
-	s := now.Unix()
-	c := &m.ring[uint64(s)%ringSeconds]
-	if old := c.sec.Load(); old != s {
-		if c.sec.CompareAndSwap(old, s) {
-			c.n.Store(0)
-		}
-	}
-	c.n.Add(n)
-}
-
-// windowQPS sums the ring over the last complete `window` seconds
-// (excluding the in-progress second) and averages.
-func (m *metrics) windowQPS(now time.Time, window int) float64 {
-	if window <= 0 || window > ringSeconds-2 {
-		window = ringSeconds - 2
-	}
-	nowSec := now.Unix()
+// count folds one (mapper, method) cell across the stripes.
+func (m *metrics) count(mapper int, code method) uint64 {
 	var n uint64
-	for i := range m.ring {
-		sec := m.ring[i].sec.Load()
-		if sec >= nowSec-int64(window) && sec < nowSec {
-			n += m.ring[i].n.Load()
+	for i := range m.stripes {
+		n += m.stripes[i].cell(mapper, code).Load()
+	}
+	return n
+}
+
+// total folds every cell of every stripe: the exact lookup count.
+func (m *metrics) total() uint64 {
+	var n uint64
+	for i := range m.stripes {
+		for r := range m.stripes[i].methods {
+			for c := range m.stripes[i].methods[r] {
+				n += m.stripes[i].methods[r][c].Load()
+			}
 		}
 	}
-	return float64(n) / float64(window)
+	return n
+}
+
+// windowQPS is the lookup rate since the previous read, from the exact
+// total: each read samples (now, total) and returns the rate against
+// the sample before it. The first read has no earlier sample and
+// returns the lifetime rate since start. A read less than qpsMinWindow
+// after the last sample, or with an older now, returns that sample's
+// rate unchanged, so back-to-back readers (a scrape and a /statusz)
+// never measure over a sliver.
+func (m *metrics) windowQPS(now, start time.Time) float64 {
+	m.qpsMu.Lock()
+	defer m.qpsMu.Unlock()
+	n := m.total()
+	switch {
+	case m.qpsAt.IsZero():
+		m.qpsRate = 0
+		if up := now.Sub(start).Seconds(); up > 0 {
+			m.qpsRate = float64(n) / up
+		}
+	case now.Sub(m.qpsAt) >= qpsMinWindow:
+		m.qpsRate = float64(n-m.qpsN) / now.Sub(m.qpsAt).Seconds()
+	default:
+		return m.qpsRate
+	}
+	m.qpsAt, m.qpsN = now, n
+	return m.qpsRate
+}
+
+// methodCounts adds this metrics' per-method counts for the given
+// mappers to into, keyed by mapper name then method name (misses under
+// "unmapped"); zero counts are left out.
+func (m *metrics) methodCounts(into MethodCounts, mappers []string) {
+	for mi, name := range mappers {
+		if mi >= maxMappers {
+			break
+		}
+		for code := method(0); code < numMethods; code++ {
+			n := m.count(mi, code)
+			if n == 0 {
+				continue
+			}
+			if into[name] == nil {
+				into[name] = map[string]uint64{}
+			}
+			into[name][methodKey(code)] += n
+		}
+	}
+}
+
+// methodKey names a method in /statusz and /metrics: misses are
+// "unmapped".
+func methodKey(code method) string {
+	if code == methodNone {
+		return "unmapped"
+	}
+	return methodNames[code]
 }
 
 // register exposes the serving counters as Prometheus families on reg.
@@ -101,30 +225,25 @@ func (m *metrics) windowQPS(now time.Time, window int) float64 {
 // exposition — and the golden test pinning it — is deterministic. Safe
 // to call again after a hot swap: the registry replaces series in
 // place, keeping the scrape's family shape stable across epochs.
-func (m *metrics) register(reg *obs.Registry, mappers []string) {
+func (m *metrics) register(reg *obs.Registry, mappers []string, start time.Time) {
 	reg.CounterFunc("geoserve_requests_total",
-		"Lookups served across all mappers.", nil, m.total.Load)
+		"Lookups served across all mappers.", nil, m.total)
 	for mi, mapper := range mappers {
 		if mi >= maxMappers {
 			break
 		}
 		for code := method(0); code < numMethods; code++ {
-			name := methodNames[code]
-			if name == "" {
-				name = "unmapped"
-			}
-			cell := &m.methods[mi][code]
 			reg.CounterFunc("geoserve_lookups_total",
 				"Lookups by mapper and resolution method.",
-				obs.Labels{{Key: "mapper", Value: mapper}, {Key: "method", Value: name}},
-				cell.Load)
+				obs.Labels{{Key: "mapper", Value: mapper}, {Key: "method", Value: methodKey(code)}},
+				func() uint64 { return m.count(mi, code) })
 		}
 	}
 	reg.RegisterHistogram("geoserve_lookup_latency_seconds",
 		"Per-lookup serving latency.", nil, &m.lat)
 	reg.GaugeFunc("geoserve_window_qps",
 		"Lookups per second over the trailing complete-seconds window.", nil,
-		func() float64 { return m.windowQPS(time.Now(), 0) })
+		func() float64 { return m.windowQPS(time.Now(), start) })
 }
 
 // MethodCounts reports per-mapper lookup counts keyed by method name;
@@ -135,11 +254,13 @@ type MethodCounts map[string]map[string]uint64
 type Status struct {
 	UptimeSeconds float64 `json:"uptime_seconds"`
 	Lookups       uint64  `json:"lookups"`
-	// QPSWindow averages over the trailing ~14 complete seconds;
-	// QPSLifetime over the whole uptime.
+	// QPSWindow is the rate since the previous /statusz or /metrics
+	// read at least a second earlier (the lifetime rate on the first
+	// read); QPSLifetime averages over the whole uptime.
 	QPSWindow   float64 `json:"qps_window"`
 	QPSLifetime float64 `json:"qps_lifetime"`
-	// Latency quantiles in nanoseconds (bucketed, ~25% resolution).
+	// Latency quantiles in nanoseconds (bucketed, ~25% resolution),
+	// over the timed sample of lookups (see metrics).
 	LatencyP50Ns int64 `json:"latency_p50_ns"`
 	LatencyP90Ns int64 `json:"latency_p90_ns"`
 	LatencyP99Ns int64 `json:"latency_p99_ns"`
@@ -183,7 +304,8 @@ type ShardStatus struct {
 	Prefixes   int    `json:"prefixes"`
 	ExactIPs   int    `json:"exact_ips"`
 	Lookups    uint64 `json:"lookups"`
-	// QPSWindow averages over the trailing ~14 complete seconds.
+	// QPSWindow is this shard's rate since the previous read, as in
+	// Status.QPSWindow.
 	QPSWindow    float64 `json:"qps_window"`
 	LatencyP50Ns int64   `json:"latency_p50_ns"`
 	LatencyP99Ns int64   `json:"latency_p99_ns"`

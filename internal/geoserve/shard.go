@@ -211,7 +211,7 @@ func (sh *Shard) serveGroup(d *shardData, mapper int, ips []uint32, shardOf []ui
 		counts[code]++
 		n++
 	}
-	sh.st.m.recordBatch(mapper, &counts, n, time.Since(t0), t0)
+	sh.st.m.recordBatch(mapper, &counts, n, time.Since(t0))
 }
 
 // serveGroupWire is serveGroup for the binary wire path: it writes
@@ -230,5 +230,5 @@ func (sh *Shard) serveGroupWire(d *shardData, w *wireState, mapper int, ips []ui
 		counts[code]++
 		n++
 	}
-	sh.st.m.recordBatch(mapper, &counts, n, time.Since(t0), t0)
+	sh.st.m.recordBatch(mapper, &counts, n, time.Since(t0))
 }

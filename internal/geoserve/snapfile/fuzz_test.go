@@ -1,12 +1,16 @@
 package snapfile
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
 	"flag"
 	"os"
 	"path/filepath"
 	"testing"
+
+	"geonet/internal/geoserve"
 )
 
 var update = flag.Bool("update", false, "regenerate the fuzz seed corpus")
@@ -57,6 +61,59 @@ func FuzzSnapfileLoad(f *testing.F) {
 			t.Fatalf("FileInfo digest %s != snapshot %s", info.Digest, snap.Digest())
 		}
 	})
+}
+
+// FuzzSnapdeltaApply feeds Apply arbitrary mutations of valid deltas —
+// Diff from a test world to two churned epochs of it, and to itself —
+// against that world as base. Each input is applied as given and again
+// resealed (whole-file hash recomputed), so mutations also get past the
+// hash check to the base, merge and digest checks behind it. Apply
+// never panics, fails only with this package's typed errors, and any
+// success yields a snapshot whose digest is the trailer's to-digest.
+func FuzzSnapdeltaApply(f *testing.F) {
+	keys := worldKeys(12)
+	base := buildWorld(f, 3, keys, nil)
+	targets := []*geoserve.Snapshot{base}
+	for step := int64(1); step <= 2; step++ {
+		churned, salts := churnedKeys(keys, step)
+		targets = append(targets, buildWorld(f, 3, churned, salts))
+	}
+	for i, target := range targets {
+		delta, err := Diff(base, target, 1, uint64(2+i))
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(delta)
+	}
+	f.Add([]byte(deltaMagic))
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkApply(t, base, data)
+		if len(data) >= trailerBytes {
+			resealed := bytes.Clone(data)
+			reseal(resealed)
+			checkApply(t, base, resealed)
+		}
+	})
+}
+
+func checkApply(t *testing.T, base *geoserve.Snapshot, data []byte) {
+	snap, info, err := Apply(base, data)
+	if err != nil {
+		if snap != nil {
+			t.Fatal("Apply returned a snapshot alongside its error")
+		}
+		for _, typed := range []error{ErrMagic, ErrVersion, ErrTruncated, ErrFormat, ErrCorrupt, ErrDeltaBase} {
+			if errors.Is(err, typed) {
+				return
+			}
+		}
+		t.Fatalf("untyped Apply error: %v", err)
+	}
+	trailer := hex.EncodeToString(data[len(data)-trailerBytes : len(data)-32])
+	if snap.Digest() != trailer || info.ToDigest != trailer {
+		t.Fatalf("applied digest %s, info %s, trailer %s", snap.Digest(), info.ToDigest, trailer)
+	}
 }
 
 // TestWriteFuzzCorpus regenerates the checked-in seed corpus when run
