@@ -227,31 +227,35 @@ func BenchmarkAblationAliasResolution(b *testing.B) {
 // so their numbers are comparable across snapshots regardless of the
 // table/figure benches' scale.
 var (
-	serveOnce   sync.Once
-	servePipe   *core.Pipeline
-	serveEngine *geoserve.Engine
-	serveHits   []uint32
+	serveOnce sync.Once
+	servePipe *core.Pipeline
+	serveSnap *geoserve.Snapshot
+	serveHits []uint32
 )
 
-func serveFixture(b *testing.B) (*core.Pipeline, *geoserve.Engine, []uint32) {
-	serveOnce.Do(func() {
-		p, err := core.Run(core.TestConfig())
-		if err != nil {
-			panic(err)
+func loadServe() {
+	p, err := core.Run(core.TestConfig())
+	if err != nil {
+		panic(err)
+	}
+	snap, err := p.Serve()
+	if err != nil {
+		panic(err)
+	}
+	servePipe, serveSnap = p, snap
+	for i := range p.Internet.Ifaces {
+		if ifc := &p.Internet.Ifaces[i]; ifc.IP != 0 && !ifc.Private {
+			serveHits = append(serveHits, ifc.IP)
 		}
-		snap, err := p.Serve()
-		if err != nil {
-			panic(err)
-		}
-		servePipe = p
-		serveEngine = geoserve.NewEngine(snap)
-		for i := range p.Internet.Ifaces {
-			if ifc := &p.Internet.Ifaces[i]; ifc.IP != 0 && !ifc.Private {
-				serveHits = append(serveHits, ifc.IP)
-			}
-		}
-	})
-	return servePipe, serveEngine, serveHits
+	}
+}
+
+// serveFixture returns the serving pipeline, a fresh one-shard cluster
+// over its snapshot (the unsharded service), and the public interface
+// addresses to look up.
+func serveFixture(b *testing.B) (*core.Pipeline, *geoserve.Cluster, []uint32) {
+	c := clusterFixture(b, 1)
+	return servePipe, c, serveHits
 }
 
 // BenchmarkServeSnapshotCompile measures compiling a finished pipeline
@@ -305,11 +309,11 @@ func BenchmarkServeDelta(b *testing.B) {
 }
 
 // BenchmarkServeLookupParallel is the serving hot path under full
-// parallelism: engine lookups (metrics included) on known interface
-// addresses, at 0 allocs/op. Metering must stay well under the index
-// search it meters: on a 2-vCPU Xeon VM this reads ~90 ns/op metered
-// (~11M lookups/sec), against ~225 ns/op when every lookup read the
-// clock.
+// parallelism: one-shard cluster lookups (metrics included) on known
+// interface addresses, at 0 allocs/op. Metering must stay well under
+// the index search it meters: on a 2-vCPU Xeon VM this reads ~90 ns/op
+// metered (~11M lookups/sec), against ~225 ns/op when every lookup
+// read the clock.
 func BenchmarkServeLookupParallel(b *testing.B) {
 	_, e, hits := serveFixture(b)
 	b.ReportAllocs()
@@ -353,9 +357,11 @@ func BenchmarkServeLookupMiss(b *testing.B) {
 
 // ---- Sharded serving (geoserve.Cluster) ----
 
+// clusterFixture serves the serving pipeline's snapshot from a fresh
+// cluster of the given shard count.
 func clusterFixture(b *testing.B, shards int) *geoserve.Cluster {
-	_, e, _ := serveFixture(b)
-	c, err := geoserve.NewCluster(e.Snapshot(), geoserve.ClusterConfig{Shards: shards})
+	serveOnce.Do(loadServe)
+	c, err := geoserve.NewCluster(serveSnap, geoserve.ClusterConfig{Shards: shards})
 	if err != nil {
 		b.Fatal(err)
 	}
@@ -442,19 +448,14 @@ func (w *nullResponseWriter) Write(p []byte) (int, error) {
 }
 
 // BenchmarkWireBatch drives POST /v1/locate/bin through the full HTTP
-// handler: one 256-address binary batch per iteration, engine and
-// sharded cluster, with amortised ns/lookup reported — the number the
+// handler: one 256-address binary batch per iteration, one shard and
+// eight, with amortised ns/lookup reported — the number the
 // JSON wall is measured against (compare BenchmarkJSONBatch).
 func BenchmarkWireBatch(b *testing.B) {
 	for _, shards := range []int{1, 8} {
 		b.Run(fmt.Sprintf("shards%d", shards), func(b *testing.B) {
-			_, e, hits := serveFixture(b)
-			var h http.Handler
-			if shards == 1 {
-				h = geoserve.NewHandler(e)
-			} else {
-				h = geoserve.NewClusterHandler(clusterFixture(b, shards))
-			}
+			_, _, hits := serveFixture(b)
+			h := geoserve.NewClusterHandler(clusterFixture(b, shards))
 			const batchSize = 256
 			batch := make([]uint32, batchSize)
 			for j := range batch {
@@ -484,8 +485,8 @@ func BenchmarkWireBatch(b *testing.B) {
 // BenchmarkJSONBatch is the same 256-address batch through the JSON
 // endpoint — the wall BenchmarkWireBatch exists to knock down.
 func BenchmarkJSONBatch(b *testing.B) {
-	_, e, hits := serveFixture(b)
-	h := geoserve.NewHandler(e)
+	_, c, hits := serveFixture(b)
+	h := geoserve.NewClusterHandler(c)
 	const batchSize = 256
 	var sb bytes.Buffer
 	sb.WriteString(`{"ips":[`)

@@ -2,8 +2,8 @@
 // layer: N workers each issue one lookup, wait for the answer, and
 // immediately issue the next, so measured throughput is the service's
 // sustainable rate at that concurrency (not an open-loop arrival
-// fantasy). It drives either a running geoserved over HTTP or the
-// engine in-process.
+// fantasy). It drives either a running geoserved over HTTP or a
+// serving cluster in-process.
 //
 //	geoload -scale 0.02 -mix zipf -concurrency 8 -duration 5s
 //	geoload -target http://localhost:8080 -mix unmappable -duration 10s
@@ -15,9 +15,9 @@
 //	zipf        /24s drawn rank-Zipf (theta -zipftheta), hot-prefix skew
 //	unmappable  half uniform, half guaranteed-miss (class E) addresses
 //
-// In-process mode builds the pipeline itself (-seed/-scale) and with
-// -shards N > 1 drives a prefix-sharded geoserve.Cluster instead of a
-// single engine; HTTP mode fetches the target's /24 index from
+// In-process mode builds the pipeline itself (-seed/-scale) and drives
+// a geoserve.Cluster split into -shards prefix-range shards (default
+// 1); HTTP mode fetches the target's /24 index from
 // /v1/prefixes, so the mix matches whatever world the server is
 // serving. When the target is sharded (either mode) the report gains a
 // per-shard section: each shard's lookups, QPS and share of the run's
@@ -74,25 +74,22 @@ type target interface {
 	mode() string
 }
 
+// inProcess drives a serving cluster in this process.
 type inProcess struct {
-	engine *geoserve.Engine
-	mapper int
-}
-
-func (t *inProcess) lookup(ip uint32) (bool, error) {
-	return t.engine.Lookup(t.mapper, ip).Found, nil
-}
-func (t *inProcess) mode() string { return "inprocess" }
-
-type inProcessCluster struct {
 	cluster *geoserve.Cluster
 	mapper  int
 }
 
-func (t *inProcessCluster) lookup(ip uint32) (bool, error) {
+func (t *inProcess) lookup(ip uint32) (bool, error) {
 	return t.cluster.Lookup(t.mapper, ip).Found, nil
 }
-func (t *inProcessCluster) mode() string { return "inprocess-sharded" }
+
+func (t *inProcess) mode() string {
+	if t.cluster.NumShards() > 1 {
+		return "inprocess-sharded"
+	}
+	return "inprocess"
+}
 
 type overHTTP struct {
 	client *http.Client
@@ -120,12 +117,12 @@ func (t *overHTTP) lookup(ip uint32) (bool, error) {
 func (t *overHTTP) mode() string { return "http" }
 
 func main() {
-	targetURL := flag.String("target", "", "geoserved base URL (empty = drive the engine in-process)")
+	targetURL := flag.String("target", "", "geoserved base URL (empty = drive a cluster in-process)")
 	targetList := flag.String("target-list", "", "comma-separated replica URLs: drive the whole fleet with failover and a per-replica report")
 	seed := flag.Int64("seed", 1, "world seed (in-process mode)")
 	scale := flag.Float64("scale", 0.02, "world scale (in-process mode)")
 	workers := flag.Int("workers", 0, "pipeline workers for the in-process build (0 = one per CPU)")
-	shards := flag.Int("shards", 1, "drive a sharded cluster in-process (1 = single engine)")
+	shards := flag.Int("shards", 1, "prefix-range shards of the in-process cluster (1 = unsharded)")
 	mapper := flag.String("mapper", "ixmapper", "mapper to query")
 	concurrency := flag.Int("concurrency", 4, "closed-loop workers")
 	duration := flag.Duration("duration", 5*time.Second, "measurement duration")
@@ -147,7 +144,7 @@ func main() {
 		log.Fatal("geoload: -concurrency must be >= 1")
 	}
 	if *shards > 1 && *targetURL != "" {
-		log.Fatal("geoload: -shards only shapes the in-process engine; start geoserved -shards and point -target at it instead")
+		log.Fatal("geoload: -shards only shapes the in-process cluster; start geoserved -shards and point -target at it instead")
 	}
 	if *wire != "json" && *wire != "bin" && *wire != "stream" {
 		log.Fatalf("geoload: unknown -wire %q (json, bin or stream)", *wire)
@@ -177,7 +174,7 @@ func main() {
 		prefixes   []uint32
 		worldScale = *scale
 		// shardStats reads the per-shard lookup totals after the run
-		// (nil when the target is an unsharded engine).
+		// (nil when the target reports none).
 		shardStats func() []shardCount
 	)
 	if *targetURL == "" {
@@ -198,21 +195,17 @@ func main() {
 			log.Fatalf("geoload: unknown mapper %q (have %v)", *mapper, snap.Mappers())
 		}
 		prefixes = snap.Prefixes()
-		if *shards > 1 {
-			cluster, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{Shards: *shards})
-			if err != nil {
-				log.Fatalf("geoload: %v", err)
+		cluster, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{Shards: *shards})
+		if err != nil {
+			log.Fatalf("geoload: %v", err)
+		}
+		tgt = &inProcess{cluster: cluster, mapper: idx}
+		shardStats = func() []shardCount {
+			var out []shardCount
+			for _, ss := range cluster.Status().ShardStats {
+				out = append(out, shardCount{ID: ss.ID, Lookups: ss.Lookups})
 			}
-			tgt = &inProcessCluster{cluster: cluster, mapper: idx}
-			shardStats = func() []shardCount {
-				var out []shardCount
-				for _, ss := range cluster.Status().ShardStats {
-					out = append(out, shardCount{ID: ss.ID, Lookups: ss.Lookups})
-				}
-				return out
-			}
-		} else {
-			tgt = &inProcess{engine: geoserve.NewEngine(snap), mapper: idx}
+			return out
 		}
 	} else {
 		client := &http.Client{Transport: &http.Transport{
@@ -244,8 +237,8 @@ func main() {
 		default:
 			tgt = &overHTTP{client: client, base: *targetURL, mapper: *mapper}
 		}
-		// A sharded geoserved exposes per-shard sections in /statusz;
-		// report this run's per-shard traffic as a before/after delta.
+		// geoserved exposes per-shard sections in /statusz; report this
+		// run's per-shard traffic as a before/after delta.
 		if before, ok := fetchShardLookups(client, *targetURL); ok {
 			shardStats = func() []shardCount {
 				after, ok := fetchShardLookups(client, *targetURL)
@@ -385,9 +378,9 @@ func fetchBuildScale(client *http.Client, base string) (float64, error) {
 	return body.Snapshot.Build.Scale, nil
 }
 
-// fetchShardLookups reads the per-shard lookup counters from a sharded
-// geoserved's /statusz; ok=false when the target serves unsharded (no
-// shard_stats section).
+// fetchShardLookups reads the per-shard lookup counters from
+// geoserved's /statusz; ok=false when the target has no shard_stats
+// section (a replica or router).
 func fetchShardLookups(client *http.Client, base string) ([]shardCount, bool) {
 	resp, err := client.Get(base + "/statusz")
 	if err != nil {
@@ -419,8 +412,8 @@ type result struct {
 	errors  uint64
 	elapsed time.Duration
 	lat     *geoserve.Histogram
-	// shards holds per-shard lookup counts when the target is a
-	// sharded cluster (in-process or a sharded geoserved).
+	// shards holds per-shard lookup counts when the target reports
+	// them; the report shows them only for a sharded target.
 	shards []shardCount
 	// churnEvery > 0 means the run drove continuous churn on the
 	// target; churnSteps/churnFailed count the admin steps fired.
@@ -563,7 +556,7 @@ func (r *result) format(mode, mapper string, mix mixKind, concurrency int, d tim
 		s += fmt.Sprintf("  churn     %d steps every %s (%d failed)\n",
 			r.churnSteps, r.churnEvery, r.churnFailed)
 	}
-	if len(r.shards) > 0 {
+	if len(r.shards) > 1 {
 		var total uint64
 		for _, sc := range r.shards {
 			total += sc.Lookups
@@ -605,7 +598,7 @@ func (r *result) writeJSON(path, mode, mapper string, mix mixKind, concurrency i
 		"latency_hist_bounds_ns": geoserve.HistogramBounds(),
 		"latency_hist_counts":    r.lat.Export(),
 	}
-	if len(r.shards) > 0 {
+	if len(r.shards) > 1 {
 		loadKeys["shards"] = r.shards
 	}
 	if r.churnEvery > 0 {

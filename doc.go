@@ -101,7 +101,7 @@
 // Snapshot digests follow the same determinism discipline as report
 // digests; geoserve's golden tests pin them byte-for-byte across
 // worker counts, hot-swaps and — the shard-count invariance — across
-// cluster topologies {1, 2, 3, 8} vs the unsharded engine.
+// cluster topologies {1, 2, 3, 8}.
 //
 // # Replicated serving (snapfile, replica, faultinject)
 //
@@ -125,7 +125,7 @@
 // deterministic chaos layer (seeded drops, truncations, bit-flips,
 // latency, mid-transfer resets over in-memory HTTP) whose suite proves
 // the degraded modes, and the replication golden pins that a replica
-// serving a fetched snapshot answers byte-identically to the engine
+// serving a fetched snapshot answers byte-identically to the builder
 // that compiled it.
 //
 // Run the benchmark suite with

@@ -22,9 +22,9 @@ const DefaultQueueBudget = 64
 
 // ClusterConfig sizes a serving cluster.
 type ClusterConfig struct {
-	// Shards is the number of prefix-range shards (>= 1). The sorted
-	// /24 interval index is cut into Shards contiguous runs balanced by
-	// interval count.
+	// Shards is the number of prefix-range shards; 0 means 1. The
+	// sorted /24 interval index is cut into Shards contiguous runs
+	// balanced by interval count.
 	Shards int
 	// QueueBudget caps each shard's in-flight batch tasks; a batch
 	// touching a shard already at budget is shed whole (ErrOverloaded,
@@ -44,13 +44,15 @@ type clusterView struct {
 	datas  []*shardData
 }
 
-// Cluster is the sharded serving engine: a coordinator that routes
-// single lookups to the owning prefix-range shard and scatter-gathers
-// batches across shards, each shard an independently hot-swappable
-// engine with its own metrics and load-shedding budget. For any shard
-// count a Cluster serves byte-identical answers to an unsharded Engine
-// over the same snapshot (the shard-count-invariance golden pins
-// this).
+// Cluster is the serving type: it publishes a Snapshot for lock-free
+// concurrent reads and hot-swaps to new snapshots without pausing
+// readers. A coordinator routes single lookups to the owning
+// prefix-range shard and scatter-gathers batches across shards, each
+// shard independently hot-swappable with its own metrics and
+// load-shedding budget. One shard is the unsharded service; for any
+// shard count a Cluster serves byte-identical answers to
+// Snapshot.Lookup over the same snapshot (the shard-count-invariance
+// golden pins this).
 type Cluster struct {
 	shards  []*Shard
 	view    atomic.Pointer[clusterView]
@@ -61,8 +63,7 @@ type Cluster struct {
 
 // clusterMetrics is the carryable accounting of a serving cluster —
 // everything that must survive the cluster being rebuilt for a new
-// epoch (NewClusterFrom hands it to the replacement, exactly like
-// NewEngineFrom carries an engine's metrics struct), separated from
+// epoch (NewClusterFrom hands it to the replacement), separated from
 // the per-epoch routing state that must not.
 type clusterMetrics struct {
 	swaps   atomic.Uint64
@@ -100,9 +101,9 @@ type batchScratch struct {
 }
 
 // NewCluster splits the snapshot into cfg.Shards prefix-range shards
-// and starts serving. It fails if the snapshot has fewer /24 intervals
-// than shards (a shard must own at least one interval for routing cuts
-// to stay distinct).
+// and starts serving. With more than one shard it fails if the
+// snapshot has fewer /24 intervals than shards (a shard must own at
+// least one interval for routing cuts to stay distinct).
 func NewCluster(snap *Snapshot, cfg ClusterConfig) (*Cluster, error) {
 	return NewClusterFrom(snap, cfg, nil)
 }
@@ -111,11 +112,13 @@ func NewCluster(snap *Snapshot, cfg ClusterConfig) (*Cluster, error) {
 // accounting forward: coordinator counters, uptime origin and every
 // shard's metrics continue, and the swap count advances by one — so a
 // replica installing each epoch as a fresh cluster still reports one
-// continuous serving history (scrape continuity, like NewEngineFrom).
-// If prev is nil, or its shard count differs from cfg's (the counters
-// would no longer attribute to the same shard cuts), the accounting
-// starts fresh.
+// continuous serving history (scrape continuity). If prev is nil, or
+// its shard count differs from cfg's (the counters would no longer
+// attribute to the same shard cuts), the accounting starts fresh.
 func NewClusterFrom(snap *Snapshot, cfg ClusterConfig, prev *Cluster) (*Cluster, error) {
+	if cfg.Shards == 0 {
+		cfg.Shards = 1
+	}
 	datas, starts, err := splitSnapshot(snap, cfg.Shards)
 	if err != nil {
 		return nil, err
@@ -242,7 +245,8 @@ func sameIndex(a, b *Snapshot) bool {
 
 // Lookup answers one address under the mapper with the given index,
 // routed to the owning shard (which records the lookup in its own
-// metrics). Allocation-free, like Engine.Lookup.
+// metrics, and its latency when the lookup is in the timed sample).
+// This is the in-process hot path: it allocates nothing.
 func (c *Cluster) Lookup(mapper int, ip uint32) Answer {
 	sh, d := c.route(c.view.Load(), ip)
 	t0 := sh.st.m.start(ip)
@@ -257,12 +261,9 @@ func (c *Cluster) Lookup(mapper int, ip uint32) Answer {
 // them.
 func (c *Cluster) Locate(mapperName string, ip uint32) (Answer, bool) {
 	v := c.view.Load()
-	idx := 0
-	if mapperName != "" {
-		var ok bool
-		if idx, ok = v.snap.MapperIndex(mapperName); !ok {
-			return Answer{IP: ip}, false
-		}
+	idx, ok := v.snap.mapperOrFirst(mapperName)
+	if !ok {
+		return Answer{IP: ip}, false
 	}
 	sh, d := c.route(v, ip)
 	t0 := sh.st.m.start(ip)
@@ -296,9 +297,6 @@ func (c *Cluster) route(v *clusterView, ip uint32) (*Shard, *shardData) {
 // the whole batch. A wrapped ErrOverloaded means no lookup ran and the
 // batch was shed.
 func (c *Cluster) LookupBatch(mapper int, ips []uint32, out []Answer) (string, error) {
-	if len(out) < len(ips) {
-		return "", fmt.Errorf("geoserve: out buffer %d < batch %d", len(out), len(ips))
-	}
 	v := c.view.Load()
 	if err := c.serveBatch(v, mapper, ips, out, nil); err != nil {
 		return "", err
@@ -307,22 +305,25 @@ func (c *Cluster) LookupBatch(mapper int, ips []uint32, out []Answer) (string, e
 }
 
 // LocateBatch is LookupBatch with mapper resolution by name (empty
-// selects the first mapper); ok=false for an unknown mapper.
-func (c *Cluster) LocateBatch(mapperName string, ips []uint32, out []Answer) (digest string, ok bool, err error) {
+// selects the first mapper); ok=false for an unknown mapper. tr is
+// the request's trace handle (nil when untraced): each shard's
+// sub-batch records a shard.serve span on it.
+func (c *Cluster) LocateBatch(mapperName string, ips []uint32, out []Answer, tr *obs.Trace) (digest string, ok bool, err error) {
 	v := c.view.Load()
-	idx := 0
-	if mapperName != "" {
-		if idx, ok = v.snap.MapperIndex(mapperName); !ok {
-			return "", false, nil
-		}
+	idx, ok := v.snap.mapperOrFirst(mapperName)
+	if !ok {
+		return "", false, nil
 	}
-	if err := c.serveBatch(v, idx, ips, out, nil); err != nil {
+	if err := c.serveBatch(v, idx, ips, out, tr); err != nil {
 		return "", true, err
 	}
 	return v.snap.Digest(), true, nil
 }
 
 func (c *Cluster) serveBatch(v *clusterView, mapper int, ips []uint32, out []Answer, tr *obs.Trace) error {
+	if len(out) < len(ips) {
+		return fmt.Errorf("geoserve: out buffer %d < batch %d", len(out), len(ips))
+	}
 	return c.scatter(v, ips, tr, func(i int, shardOf []uint8) {
 		c.shards[i].serveGroup(v.datas[i], mapper, ips, shardOf, out)
 	})
@@ -332,8 +333,7 @@ func (c *Cluster) serveBatch(v *clusterView, mapper int, ips []uint32, out []Ans
 // positions in out (WireAnswerSize bytes each), resolving the wire
 // mapper id and serving the whole batch from one epoch-consistent
 // view. ok=false means the id doesn't resolve on that epoch; a wrapped
-// ErrOverloaded means the batch was shed whole. Implements the
-// backend interface alongside Engine.serveWire.
+// ErrOverloaded means the batch was shed whole.
 func (c *Cluster) serveWire(mapperID uint16, ips []uint32, out []byte, tr *obs.Trace) (*Snapshot, bool, error) {
 	v := c.view.Load()
 	idx, ok := v.snap.wireMapperIndex(mapperID)
@@ -436,12 +436,9 @@ func scatterServe(tr *obs.Trace, serve func(shard int, shardOf []uint8), i int, 
 // Locate) and returns the snapshot's cached response tail.
 func (c *Cluster) locateTail(mapperName string, ip uint32) ([]byte, bool) {
 	v := c.view.Load()
-	idx := 0
-	if mapperName != "" {
-		var ok bool
-		if idx, ok = v.snap.MapperIndex(mapperName); !ok {
-			return nil, false
-		}
+	idx, ok := v.snap.mapperOrFirst(mapperName)
+	if !ok {
+		return nil, false
 	}
 	sh, d := c.route(v, ip)
 	t0 := sh.st.m.start(ip)
@@ -452,10 +449,9 @@ func (c *Cluster) locateTail(mapperName string, ip uint32) ([]byte, bool) {
 }
 
 // registerMetrics exposes the cluster's serving families on reg:
-// coordinator totals summed across shards under the same names the
-// single-engine handler uses, scatter-gather counters, and a per-shard
-// section (latency histogram, lookups, sheds, in-flight) labeled by
-// shard index. Scrape-time readers fold the shards' counter stripes
+// coordinator totals summed across shards, scatter-gather counters,
+// the swap count, and a per-shard section (latency histogram, lookups,
+// sheds, in-flight) labeled by shard index. Scrape-time readers fold the shards' counter stripes
 // (the QPS gauge also takes each shard's reader-side sample lock);
 // nothing here touches the serving hot path.
 func (c *Cluster) registerMetrics(reg *obs.Registry) {

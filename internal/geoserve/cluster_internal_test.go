@@ -63,6 +63,17 @@ func syntheticSnapshot(start uint32, nPrefixes, nMappers int, salt float64) *Sna
 	return s
 }
 
+// oneShard serves snap from a one-shard cluster: the unsharded
+// service.
+func oneShard(tb testing.TB, snap *Snapshot) *Cluster {
+	tb.Helper()
+	c, err := NewCluster(snap, ClusterConfig{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
 // probeAddrs is a deterministic address set exercising every lookup
 // path: exact hits, prefix-level answers at both block edges, gaps
 // between allocated /24s, and the space below/above the index.
@@ -136,6 +147,21 @@ func TestSplitErrors(t *testing.T) {
 	if _, err := NewCluster(snap, ClusterConfig{Shards: 9}); err == nil {
 		t.Error("NewCluster with more shards than prefixes should fail")
 	}
+	// A snapshot with no /24 intervals cannot be cut, but one shard
+	// needs no cuts: it serves every address as a miss.
+	empty := syntheticSnapshot(10<<24, 0, 1, 0)
+	if _, _, err := splitSnapshot(empty, 2); err == nil {
+		t.Error("splitSnapshot(2 shards over 0 prefixes) should fail")
+	}
+	c := oneShard(t, empty)
+	if c.NumShards() != 1 {
+		t.Fatalf("zero ClusterConfig.Shards built %d shards, want 1", c.NumShards())
+	}
+	for _, ip := range []uint32{0, 10 << 24, 0xFFFFFFFF} {
+		if got, want := c.Lookup(0, ip), empty.Lookup(0, ip); got != want || got.Found {
+			t.Fatalf("empty index: Lookup(%d) = %+v, want miss %+v", ip, got, want)
+		}
+	}
 }
 
 // TestClusterMatchesSnapshotSynthetic checks byte-level answer
@@ -185,14 +211,21 @@ func TestClusterBatchMatchesSingle(t *testing.T) {
 		}
 	}
 	// Named resolution path.
-	if _, ok, _ := c.LocateBatch("nope", probes[:2], out[:2]); ok {
+	if _, ok, _ := c.LocateBatch("nope", probes[:2], out[:2], nil); ok {
 		t.Fatal("unknown mapper accepted")
 	}
-	if _, ok, err := c.LocateBatch("m0", probes[:2], out[:2]); !ok || err != nil {
+	if _, ok, err := c.LocateBatch("m0", probes[:2], out[:2], nil); !ok || err != nil {
 		t.Fatalf("LocateBatch(m0) = %v, %v", ok, err)
 	}
 	if _, err := c.LookupBatch(0, probes, out[:1]); err == nil {
 		t.Fatal("short out buffer accepted")
+	}
+	// A short out buffer is an error on the named path too, at one
+	// shard and across a scatter — never an index panic.
+	for _, cc := range []*Cluster{oneShard(t, snap), c} {
+		if _, ok, err := cc.LocateBatch("m0", probes, out[:1], nil); !ok || err == nil {
+			t.Fatalf("shards=%d: LocateBatch with short out = %v, %v; want an error", cc.NumShards(), ok, err)
+		}
 	}
 	// Empty batches are a no-op, not a panic.
 	if digest, err := c.LookupBatch(0, nil, nil); err != nil || digest != snap.Digest() {

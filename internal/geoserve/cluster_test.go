@@ -26,7 +26,7 @@ func newTestCluster(tb testing.TB, shards int) *geoserve.Cluster {
 // TestClusterLookupZeroAllocs pins the acceptance criterion that
 // sharding keeps the single-lookup path allocation-free: routing,
 // shard data load, lookup and per-shard metrics all run without heap
-// traffic, like the unsharded engine.
+// traffic, at any shard count.
 func TestClusterLookupZeroAllocs(t *testing.T) {
 	p, _ := fixture(t)
 	c := newTestCluster(t, 8)

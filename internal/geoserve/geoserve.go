@@ -16,11 +16,11 @@
 // geographic footprint (analysis.Footprints). A lookup is two binary
 // searches and allocates nothing.
 //
-// Snapshots are immutable after Compile, so an Engine publishes one
-// through an atomic.Pointer: reads are lock-free and concurrent, and
+// Snapshots are immutable after Compile, so a Cluster publishes one
+// through an atomic pointer: reads are lock-free and concurrent, and
 // when a new pipeline (different seed, scale or ablation) finishes
-// building in the background the Engine hot-swaps to its snapshot
-// without pausing readers. NewHandler exposes the HTTP API that
+// building in the background the Cluster hot-swaps to its snapshot
+// without pausing readers. NewClusterHandler exposes the HTTP API that
 // cmd/geoserved serves and cmd/geoload drives: the JSON endpoints,
 // plus the binary wire protocol (/v1/locate/bin batches and
 // /v1/locate/stream full-duplex chunk streams, driven by geoload
@@ -28,18 +28,19 @@
 // copied straight out of the snapshot's columnar slabs — see wire.go
 // and the wire-protocol section of DESIGN.md.
 //
-// Above one engine sits the sharded serving cluster: NewCluster splits
-// a snapshot into N prefix-range shards — contiguous cuts of the
-// sorted /24 interval index balanced by interval count, each shard an
-// independently hot-swappable engine with its own metrics and
-// in-flight budget. A coordinator routes single lookups to the owning
-// shard (still zero allocations) and scatter-gathers batches with
-// per-shard sub-batching and load-shedding (a batch touching a shard
-// at budget answers 429 instead of queueing unboundedly). Rebuilds
-// swap shard by shard behind an epoch guard — batches serve wholly
-// from one atomically-published epoch, so an answer set never blends
-// two snapshots. For any shard count the cluster serves byte-identical
-// answers to the unsharded engine (TestGoldenShardInvariance).
+// The Cluster is the one serving type, and one shard is the unsharded
+// service. NewCluster splits a snapshot into N prefix-range shards —
+// contiguous cuts of the sorted /24 interval index balanced by
+// interval count, each shard independently hot-swappable with its own
+// metrics and in-flight budget. A coordinator routes single lookups
+// to the owning shard (zero allocations) and scatter-gathers batches
+// with per-shard sub-batching and load-shedding (a batch touching a
+// shard at budget answers 429 instead of queueing unboundedly).
+// Rebuilds swap shard by shard behind an epoch guard — batches serve
+// wholly from one atomically-published epoch, so an answer set never
+// blends two snapshots. For any shard count the cluster serves
+// byte-identical answers to Snapshot.Lookup and the committed
+// transcript (TestGoldenShardInvariance).
 //
 // Determinism discipline: Compile parallelizes over per-index result
 // slots only, so a snapshot's content — pinned by Digest, a SHA-256
@@ -68,10 +69,10 @@
 // shard.serve) into a bounded in-memory ring with a slow-request
 // retention bias. Requests without the header pay one header lookup
 // and nothing else; the hot paths stay zero-allocation with the full
-// observability layer attached (TestLookupZeroAlloc). NewHandler and
-// NewClusterHandler mint a fresh obs bundle per handler; the Observed
-// variants accept a caller-owned bundle so a replica re-registering
-// per installed epoch keeps one continuous scrape.
+// observability layer attached (TestLookupZeroAlloc).
+// NewClusterHandler mints a fresh obs bundle per handler;
+// NewObservedClusterHandler accepts a caller-owned bundle so a replica
+// re-registering per installed epoch keeps one continuous scrape.
 package geoserve
 
 import (

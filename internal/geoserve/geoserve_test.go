@@ -34,6 +34,17 @@ func fixture(tb testing.TB) (*core.Pipeline, *geoserve.Snapshot) {
 	return fixPipe, fixSnap
 }
 
+// oneShard serves snap from a one-shard cluster: the unsharded
+// service.
+func oneShard(tb testing.TB, snap *geoserve.Snapshot) *geoserve.Cluster {
+	tb.Helper()
+	c, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return c
+}
+
 // publicIfaceIPs returns every non-private interface address.
 func publicIfaceIPs(p *core.Pipeline) []uint32 {
 	var out []uint32
@@ -146,11 +157,11 @@ func searchPrefix(snap *geoserve.Snapshot, ip uint32) (int, bool) {
 }
 
 // TestLookupHitPathZeroAllocs pins the acceptance criterion: the hit
-// path (engine included, metrics recorded) allocates nothing. The miss
-// path must stay clean too.
+// path (one-shard cluster routing included, metrics recorded)
+// allocates nothing. The miss path must stay clean too.
 func TestLookupHitPathZeroAllocs(t *testing.T) {
 	p, snap := fixture(t)
-	e := geoserve.NewEngine(snap)
+	e := oneShard(t, snap)
 	ips := publicIfaceIPs(p)
 	hit := ips[len(ips)/2]
 	if n := testing.AllocsPerRun(1000, func() { e.Lookup(0, hit) }); n != 0 {
@@ -227,17 +238,17 @@ func TestFootprintRadius(t *testing.T) {
 	}
 }
 
-// TestEngineHotSwap swaps in a freshly compiled identical snapshot and
-// checks the engine serves it (same digest, same answers), returning
-// the previous one.
-func TestEngineHotSwap(t *testing.T) {
+// TestHotSwap swaps in a freshly compiled identical snapshot and
+// checks the one-shard cluster serves it (same digest, same answers),
+// returning the previous one.
+func TestHotSwap(t *testing.T) {
 	p, snap := fixture(t)
-	e := geoserve.NewEngine(snap)
+	e := oneShard(t, snap)
 	snap2, err := p.Serve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if old := e.Swap(snap2); old != snap {
+	if old, err := e.Swap(snap2); err != nil || old != snap {
 		t.Fatal("Swap did not return the previous snapshot")
 	}
 	if e.Snapshot() != snap2 {
@@ -254,17 +265,17 @@ func TestEngineHotSwap(t *testing.T) {
 	}
 }
 
-// TestConcurrentLookupsDuringHotSwap hammers the engine from reader
-// goroutines while the main goroutine hot-swaps snapshots; run under
-// -race in CI. Every answer must be internally consistent (served
-// wholly from one snapshot).
+// TestConcurrentLookupsDuringHotSwap hammers a one-shard cluster from
+// reader goroutines while the main goroutine hot-swaps snapshots; run
+// under -race in CI. Every answer must be internally consistent
+// (served wholly from one snapshot).
 func TestConcurrentLookupsDuringHotSwap(t *testing.T) {
 	p, snap := fixture(t)
 	snap2, err := p.Serve()
 	if err != nil {
 		t.Fatal(err)
 	}
-	e := geoserve.NewEngine(snap)
+	e := oneShard(t, snap)
 	ips := publicIfaceIPs(p)
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
@@ -294,10 +305,12 @@ func TestConcurrentLookupsDuringHotSwap(t *testing.T) {
 		}(g)
 	}
 	for i := 0; i < 200; i++ {
+		next := snap
 		if i%2 == 0 {
-			e.Swap(snap2)
-		} else {
-			e.Swap(snap)
+			next = snap2
+		}
+		if _, err := e.Swap(next); err != nil {
+			t.Fatal(err)
 		}
 	}
 	close(stop)

@@ -79,7 +79,7 @@ func batchAnswersDigest(t *testing.T, snap *geoserve.Snapshot, c *geoserve.Clust
 // unknown-mapper 400), scatter-gather batches (default and explicit
 // mapper, plus a bad-address 400), an AS footprint, healthz, and the
 // /v1/prefixes body by hash. Every transcripted byte must be identical
-// for any shard count and for the unsharded engine.
+// for any shard count.
 func clusterTranscript(snap *geoserve.Snapshot, h http.Handler, p *core.Pipeline) string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "digest %s\n", snap.Digest())
@@ -146,18 +146,24 @@ func clusterTranscript(snap *geoserve.Snapshot, h http.Handler, p *core.Pipeline
 
 // TestGoldenShardInvariance pins the headline tentpole invariant: for
 // shard counts {1, 2, 3, 8} the digest of all answers (single-lookup
-// and scatter-gather batch paths both) and a full HTTP transcript are
-// byte-identical to the unsharded engine — cluster topology, like
-// worker count before it, must never move a single byte. Regenerate
-// with
+// and scatter-gather batch paths both) equals the digest of
+// Snapshot.Lookup's, and a full HTTP transcript is byte-identical to
+// the committed golden — cluster topology, like worker count before
+// it, must never move a single byte. Regenerate (from the one-shard
+// cluster) with
 //
 //	go test ./internal/geoserve -run TestGoldenShardInvariance -update
 func TestGoldenShardInvariance(t *testing.T) {
 	p, snap := fixture(t)
-
-	engine := geoserve.NewEngine(snap)
-	wantDigest := answersDigest(snap, engine.Lookup)
-	wantTranscript := clusterTranscript(snap, geoserve.NewHandler(engine), p)
+	wantDigest := answersDigest(snap, snap.Lookup)
+	path := filepath.Join("testdata", "golden_cluster.txt")
+	var want []byte
+	if !*update {
+		var err error
+		if want, err = os.ReadFile(path); err != nil {
+			t.Fatalf("missing golden file (run with -update): %v", err)
+		}
+	}
 
 	for _, shards := range []int{1, 2, 3, 8} {
 		c, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{Shards: shards})
@@ -165,31 +171,25 @@ func TestGoldenShardInvariance(t *testing.T) {
 			t.Fatal(err)
 		}
 		if got := answersDigest(snap, c.Lookup); got != wantDigest {
-			t.Errorf("shards=%d: single-lookup answers digest %s != unsharded %s", shards, got, wantDigest)
+			t.Errorf("shards=%d: single-lookup answers digest %s != snapshot %s", shards, got, wantDigest)
 		}
 		if got := batchAnswersDigest(t, snap, c); got != wantDigest {
-			t.Errorf("shards=%d: batch answers digest %s != unsharded %s", shards, got, wantDigest)
+			t.Errorf("shards=%d: batch answers digest %s != snapshot %s", shards, got, wantDigest)
 		}
-		if got := clusterTranscript(snap, geoserve.NewClusterHandler(c), p); got != wantTranscript {
-			t.Errorf("shards=%d: HTTP transcript differs from the unsharded engine.\ngot:\n%s\nwant:\n%s",
-				shards, got, wantTranscript)
+		golden := fmt.Sprintf("answers %s\n%s", wantDigest, clusterTranscript(snap, geoserve.NewClusterHandler(c), p))
+		if want == nil {
+			// -update: the first (one-shard) run writes the golden
+			// every other shard count must match.
+			if err := os.WriteFile(path, []byte(golden), 0o644); err != nil {
+				t.Fatal(err)
+			}
+			t.Logf("wrote %s (%d bytes)", path, len(golden))
+			want = []byte(golden)
+			continue
 		}
-	}
-
-	golden := fmt.Sprintf("answers %s\n%s", wantDigest, wantTranscript)
-	path := filepath.Join("testdata", "golden_cluster.txt")
-	if *update {
-		if err := os.WriteFile(path, []byte(golden), 0o644); err != nil {
-			t.Fatal(err)
+		if golden != string(want) {
+			t.Errorf("shards=%d: cluster serving golden drifted from %s.\nIf intentional, regenerate with -update and review the diff.\ngot:\n%s",
+				shards, path, golden)
 		}
-		t.Logf("wrote %s (%d bytes)", path, len(golden))
-		return
-	}
-	want, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatalf("missing golden file (run with -update): %v", err)
-	}
-	if golden != string(want) {
-		t.Errorf("cluster serving golden drifted from %s.\nIf intentional, regenerate with -update and review the diff.\ngot:\n%s", path, golden)
 	}
 }

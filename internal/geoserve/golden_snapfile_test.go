@@ -16,8 +16,8 @@ import (
 // against the serving golden: Serve → snapfile.Write → Load must
 // reproduce the identical content digest, and a replica that fetched
 // the snapshot over the replication protocol must serve the exact
-// transcript in testdata/golden_serving.txt — byte for byte what a
-// directly-compiled engine serves.
+// transcript in testdata/golden_serving.txt — byte for byte what the
+// directly-compiled snapshot serves.
 func TestGoldenSnapfileReplication(t *testing.T) {
 	if *update {
 		t.Skip("golden transcript being regenerated by TestGoldenServing")
@@ -52,7 +52,7 @@ func TestGoldenSnapfileReplication(t *testing.T) {
 		t.Fatalf("sync: swapped=%v err=%v", swapped, err)
 	}
 
-	got := goldenTranscript(rep.Engine().Snapshot(), rep.Handler(), p)
+	got := goldenTranscript(rep.Cluster().Snapshot(), rep.Handler(), p)
 	want, err := os.ReadFile(filepath.Join("testdata", "golden_serving.txt"))
 	if err != nil {
 		t.Fatalf("missing golden file (run TestGoldenServing with -update): %v", err)

@@ -89,13 +89,15 @@ func TestGoldenServing(t *testing.T) {
 		t.Fatalf("digest drifts across Workers: %s != %s", snap3.Digest(), snap1.Digest())
 	}
 
-	e := geoserve.NewEngine(snap1)
-	h := geoserve.NewHandler(e)
+	c := oneShard(t, snap1)
+	h := geoserve.NewClusterHandler(c)
 	got := goldenTranscript(snap1, h, p)
 
 	// Hot-swap to the identical rebuild: the transcript must not move
 	// a byte.
-	e.Swap(snap3)
+	if _, err := c.Swap(snap3); err != nil {
+		t.Fatal(err)
+	}
 	afterSwap := goldenTranscript(snap3, h, p)
 	if afterSwap != got {
 		t.Fatal("transcript changed across hot-swap to an identical rebuild")

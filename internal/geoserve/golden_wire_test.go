@@ -63,13 +63,13 @@ func goldenWireTranscript(tb testing.TB, snap *geoserve.Snapshot, h http.Handler
 
 // TestGoldenWire pins the binary wire protocol end to end:
 //
-//  1. the engine's /v1/locate/bin responses byte-for-byte (golden
-//     file), including the epoch tag, which must equal the snapshot
-//     digest's leading 16 hex digits;
+//  1. the one-shard cluster's /v1/locate/bin responses byte-for-byte
+//     (golden file), including the epoch tag, which must equal the
+//     snapshot digest's leading 16 hex digits;
 //  2. decoded binary answers marshal to the exact bytes the JSON
 //     GET /v1/locate path serves — binary and JSON are the same
 //     answers on the wire;
-//  3. a sharded cluster answers byte-identically to the engine at
+//  3. a sharded cluster answers byte-identically to one shard at
 //     several shard counts;
 //  4. a hot-swap to an identical rebuild does not move a byte.
 //
@@ -79,8 +79,8 @@ func goldenWireTranscript(tb testing.TB, snap *geoserve.Snapshot, h http.Handler
 func TestGoldenWire(t *testing.T) {
 	p, snap := fixture(t)
 	probes := wireProbeSet(snap, p)
-	e := geoserve.NewEngine(snap)
-	h := geoserve.NewHandler(e)
+	c1 := oneShard(t, snap)
+	h := geoserve.NewClusterHandler(c1)
 	got := goldenWireTranscript(t, snap, h, probes)
 
 	// Binary answers decode to the JSON path's exact bytes.
@@ -117,7 +117,7 @@ func TestGoldenWire(t *testing.T) {
 			t.Fatal(err)
 		}
 		if cg := goldenWireTranscript(t, snap, geoserve.NewClusterHandler(c), probes); cg != got {
-			t.Fatalf("cluster(%d shards) wire transcript differs from engine's", shards)
+			t.Fatalf("cluster(%d shards) wire transcript differs from one shard's", shards)
 		}
 	}
 
@@ -130,7 +130,9 @@ func TestGoldenWire(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.Swap(snap2)
+	if _, err := c1.Swap(snap2); err != nil {
+		t.Fatal(err)
+	}
 	if after := goldenWireTranscript(t, snap2, h, probes); after != got {
 		t.Fatal("wire transcript changed across hot-swap to an identical rebuild")
 	}

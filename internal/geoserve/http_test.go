@@ -26,7 +26,7 @@ func serveReq(h http.Handler, method, target string, body []byte) *httptest.Resp
 
 func TestHTTPLocate(t *testing.T) {
 	p, snap := fixture(t)
-	h := geoserve.NewHandler(geoserve.NewEngine(snap))
+	h := geoserve.NewClusterHandler(oneShard(t, snap))
 	ip := publicIfaceIPs(p)[0]
 
 	w := serveReq(h, "GET", "/v1/locate?ip="+geoserve.FormatIPv4(ip), nil)
@@ -74,7 +74,7 @@ func TestHTTPLocate(t *testing.T) {
 
 func TestHTTPLocateBatch(t *testing.T) {
 	p, snap := fixture(t)
-	h := geoserve.NewHandler(geoserve.NewEngine(snap))
+	h := geoserve.NewClusterHandler(oneShard(t, snap))
 	ips := publicIfaceIPs(p)
 
 	var strs []string
@@ -145,7 +145,7 @@ func TestHTTPLocateBatch(t *testing.T) {
 
 func TestHTTPFootprint(t *testing.T) {
 	p, snap := fixture(t)
-	h := geoserve.NewHandler(geoserve.NewEngine(snap))
+	h := geoserve.NewClusterHandler(oneShard(t, snap))
 
 	// Find an AS with a footprint under some mapper.
 	asn := 0
@@ -193,8 +193,8 @@ func TestHTTPFootprint(t *testing.T) {
 
 func TestHTTPHealthAndStatus(t *testing.T) {
 	p, snap := fixture(t)
-	e := geoserve.NewEngine(snap)
-	h := geoserve.NewHandler(e)
+	e := oneShard(t, snap)
+	h := geoserve.NewClusterHandler(e)
 
 	w := serveReq(h, "GET", "/healthz", nil)
 	if w.Code != 200 || !strings.Contains(w.Body.String(), snap.Digest()) {
@@ -211,7 +211,7 @@ func TestHTTPHealthAndStatus(t *testing.T) {
 	if w.Code != 200 {
 		t.Fatalf("statusz: %d", w.Code)
 	}
-	var st geoserve.Status
+	var st geoserve.ClusterStatus
 	if err := json.Unmarshal(w.Body.Bytes(), &st); err != nil {
 		t.Fatal(err)
 	}
@@ -237,7 +237,7 @@ func TestHTTPHealthAndStatus(t *testing.T) {
 
 func TestHTTPPrefixes(t *testing.T) {
 	_, snap := fixture(t)
-	h := geoserve.NewHandler(geoserve.NewEngine(snap))
+	h := geoserve.NewClusterHandler(oneShard(t, snap))
 	w := serveReq(h, "GET", "/v1/prefixes", nil)
 	if w.Code != 200 {
 		t.Fatalf("status %d", w.Code)

@@ -3,7 +3,7 @@ package geoserve_test
 // Fuzzing the geoserve HTTP boundary: arbitrary query parameters and
 // batch bodies must never panic the handlers, malformed input must
 // always answer 4xx with a JSON error body, and — the differential
-// twist — the unsharded engine and a sharded cluster must answer every
+// twist — a one-shard and a three-shard cluster must answer every
 // input, valid or hostile, with byte-identical status and body. Seed
 // corpora live under testdata/fuzz.
 
@@ -20,25 +20,28 @@ import (
 )
 
 var (
-	fuzzOnce    sync.Once
-	fuzzEngine  http.Handler
-	fuzzCluster http.Handler
+	fuzzOnce  sync.Once
+	fuzzOne   http.Handler
+	fuzzThree http.Handler
 )
 
-// fuzzHandlers builds one engine handler and one 3-shard cluster
-// handler over the shared fixture snapshot.
-func fuzzHandlers(tb testing.TB) (engine, cluster http.Handler) {
+// fuzzHandlers builds a one-shard and a 3-shard cluster handler over
+// the shared fixture snapshot.
+func fuzzHandlers(tb testing.TB) (one, three http.Handler) {
 	tb.Helper()
 	_, snap := fixture(tb)
 	fuzzOnce.Do(func() {
-		fuzzEngine = geoserve.NewHandler(geoserve.NewEngine(snap))
-		c, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{Shards: 3})
+		c1, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{})
 		if err != nil {
 			panic(err)
 		}
-		fuzzCluster = geoserve.NewClusterHandler(c)
+		c3, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{Shards: 3})
+		if err != nil {
+			panic(err)
+		}
+		fuzzOne, fuzzThree = geoserve.NewClusterHandler(c1), geoserve.NewClusterHandler(c3)
 	})
-	return fuzzEngine, fuzzCluster
+	return fuzzOne, fuzzThree
 }
 
 // checkBoundary serves one request against both handlers and asserts
@@ -47,31 +50,31 @@ func fuzzHandlers(tb testing.TB) (engine, cluster http.Handler) {
 // body is valid JSON, and the two serving modes agree byte-for-byte.
 func checkBoundary(t *testing.T, mkReq func() *http.Request) {
 	t.Helper()
-	eng, clu := fuzzHandlers(t)
-	we := httptest.NewRecorder()
-	eng.ServeHTTP(we, mkReq())
-	wc := httptest.NewRecorder()
-	clu.ServeHTTP(wc, mkReq())
+	one, three := fuzzHandlers(t)
+	w1 := httptest.NewRecorder()
+	one.ServeHTTP(w1, mkReq())
+	w3 := httptest.NewRecorder()
+	three.ServeHTTP(w3, mkReq())
 
-	if we.Code != wc.Code || !bytes.Equal(we.Body.Bytes(), wc.Body.Bytes()) {
-		t.Fatalf("engine and cluster disagree: %d %q vs %d %q",
-			we.Code, we.Body, wc.Code, wc.Body)
+	if w1.Code != w3.Code || !bytes.Equal(w1.Body.Bytes(), w3.Body.Bytes()) {
+		t.Fatalf("one- and three-shard clusters disagree: %d %q vs %d %q",
+			w1.Code, w1.Body, w3.Code, w3.Body)
 	}
-	if we.Code != http.StatusOK && (we.Code < 400 || we.Code >= 500) {
-		t.Fatalf("status %d, want 200 or 4xx: %q", we.Code, we.Body)
+	if w1.Code != http.StatusOK && (w1.Code < 400 || w1.Code >= 500) {
+		t.Fatalf("status %d, want 200 or 4xx: %q", w1.Code, w1.Body)
 	}
-	if we.Code != http.StatusOK {
+	if w1.Code != http.StatusOK {
 		var resp struct {
 			Error string `json:"error"`
 		}
-		if err := json.Unmarshal(we.Body.Bytes(), &resp); err != nil || resp.Error == "" {
-			t.Fatalf("%d body is not a JSON error: %q (%v)", we.Code, we.Body, err)
+		if err := json.Unmarshal(w1.Body.Bytes(), &resp); err != nil || resp.Error == "" {
+			t.Fatalf("%d body is not a JSON error: %q (%v)", w1.Code, w1.Body, err)
 		}
 		return
 	}
 	var any json.RawMessage
-	if err := json.Unmarshal(we.Body.Bytes(), &any); err != nil {
-		t.Fatalf("200 body is not JSON: %q (%v)", we.Body, err)
+	if err := json.Unmarshal(w1.Body.Bytes(), &any); err != nil {
+		t.Fatalf("200 body is not JSON: %q (%v)", w1.Body, err)
 	}
 }
 

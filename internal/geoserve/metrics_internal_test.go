@@ -12,40 +12,46 @@ import (
 )
 
 // TestMetricsExactUnderConcurrency races every metered serving path —
-// Lookup, Locate, cluster LookupBatch, HTTP GET /v1/locate and POST
-// /v1/locate/bin — on an engine and a cluster, then checks that the
-// striped counters lost nothing: /statusz lookups and every per-mapper
-// method count equal the tallies computed from the snapshot itself.
-// The latency histogram holds a sample: at least one and at most every
-// lookup.
+// Lookup, Locate, LookupBatch, HTTP GET /v1/locate and POST
+// /v1/locate/bin — on a one-shard and a four-shard cluster, then
+// checks that the striped counters lost nothing: /statusz lookups and
+// every per-mapper method count equal the tallies computed from the
+// snapshot itself. The latency histogram holds a sample: at least one
+// and at most every lookup.
 func TestMetricsExactUnderConcurrency(t *testing.T) {
 	snap := syntheticSnapshot(10<<24, 23, 2, 0)
-	e := NewEngine(snap)
-	c, err := NewCluster(snap, ClusterConfig{Shards: 4})
+	clusters := map[string]*Cluster{"shards1": oneShard(t, snap)}
+	c4, err := NewCluster(snap, ClusterConfig{Shards: 4})
 	if err != nil {
 		t.Fatal(err)
 	}
-	handlers := map[string]http.Handler{"engine": newHandler(e, nil), "cluster": newHandler(c, nil)}
+	clusters["shards4"] = c4
+	handlers := map[string]http.Handler{}
+	for target, c := range clusters {
+		handlers[target] = newHandler(c, nil)
+	}
 	probes := probeAddrs(snap)
 
 	const goroutines, rounds = 6, 4
 	var (
 		mu    sync.Mutex
-		tally = map[string]MethodCounts{"engine": {}, "cluster": {}}
+		tally = map[string]MethodCounts{"shards1": {}, "shards4": {}}
 		wg    sync.WaitGroup
 	)
 	for g := 0; g < goroutines; g++ {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			local := map[string]MethodCounts{"engine": {}, "cluster": {}}
-			count := func(target string, m int, ip uint32) {
+			local := map[string]MethodCounts{"shards1": {}, "shards4": {}}
+			count := func(m int, ip uint32) {
 				_, code := snap.lookup(m, ip)
 				name := snap.mappers[m]
-				if local[target][name] == nil {
-					local[target][name] = map[string]uint64{}
+				for target := range local {
+					if local[target][name] == nil {
+						local[target][name] = map[string]uint64{}
+					}
+					local[target][name][methodKey(code)]++
 				}
-				local[target][name][methodKey(code)]++
 			}
 			out := make([]Answer, len(probes))
 			for r := 0; r < rounds; r++ {
@@ -54,11 +60,13 @@ func TestMetricsExactUnderConcurrency(t *testing.T) {
 				for i, ip := range probes {
 					switch (g + r + i) % 4 {
 					case 0:
-						e.Lookup(m, ip)
-						c.Lookup(m, ip)
+						for _, c := range clusters {
+							c.Lookup(m, ip)
+						}
 					case 1:
-						e.Locate(name, ip)
-						c.Locate(name, ip)
+						for _, c := range clusters {
+							c.Locate(name, ip)
+						}
 					default:
 						for target, h := range handlers {
 							w := httptest.NewRecorder()
@@ -68,11 +76,12 @@ func TestMetricsExactUnderConcurrency(t *testing.T) {
 							}
 						}
 					}
-					count("engine", m, ip)
-					count("cluster", m, ip)
+					count(m, ip)
 				}
-				if _, err := c.LookupBatch(m, probes, out); err != nil {
-					t.Error(err)
+				for _, c := range clusters {
+					if _, err := c.LookupBatch(m, probes, out); err != nil {
+						t.Error(err)
+					}
 				}
 				for target, h := range handlers {
 					w := httptest.NewRecorder()
@@ -83,9 +92,8 @@ func TestMetricsExactUnderConcurrency(t *testing.T) {
 					}
 				}
 				for _, ip := range probes {
-					count("cluster", m, ip) // LookupBatch
-					count("cluster", m, ip) // bin
-					count("engine", m, ip)  // bin
+					count(m, ip) // LookupBatch
+					count(m, ip) // bin
 				}
 			}
 			mu.Lock()
@@ -104,9 +112,11 @@ func TestMetricsExactUnderConcurrency(t *testing.T) {
 	}
 	wg.Wait()
 
-	histCount := map[string]uint64{"engine": e.m.lat.Count()}
-	for _, sh := range c.shards {
-		histCount["cluster"] += sh.st.m.lat.Count()
+	histCount := map[string]uint64{}
+	for target, c := range clusters {
+		for _, sh := range c.shards {
+			histCount[target] += sh.st.m.lat.Count()
+		}
 	}
 	for target, h := range handlers {
 		w := httptest.NewRecorder()

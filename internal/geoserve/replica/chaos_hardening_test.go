@@ -96,7 +96,7 @@ func TestGoldenDeltaChurnByteIdentity(t *testing.T) {
 				t.Fatalf("epoch %d replica %d: swapped=%v err=%v", epoch, i, swapped, err)
 			}
 		}
-		dSnap, fSnap := deltaRep.Engine().Snapshot(), fullRep.Engine().Snapshot()
+		dSnap, fSnap := deltaRep.Cluster().Snapshot(), fullRep.Cluster().Snapshot()
 		if dSnap.Digest() != fSnap.Digest() || dSnap.Digest() != snap.Digest() {
 			t.Fatalf("epoch %d: delta-synced digest %s, full %s, published %s",
 				epoch, dSnap.Digest(), fSnap.Digest(), snap.Digest())
@@ -186,12 +186,12 @@ func TestChaosDeltaCorruptionFallsBack(t *testing.T) {
 		}
 		// The invariant under fire: whatever is serving is exactly the
 		// published snapshot, byte for byte.
-		if got := rep.Engine().Snapshot().Digest(); got != snap.Digest() {
+		if got := rep.Cluster().Snapshot().Digest(); got != snap.Digest() {
 			t.Fatalf("epoch %d: serving digest %s, published %s", e, got, snap.Digest())
 		}
 		ip := snap.ExactIPs()[2]
-		want := geoserve.NewEngine(snap).Lookup(0, ip)
-		if got := rep.Engine().Lookup(0, ip); got != want {
+		want := snap.Lookup(0, ip)
+		if got := rep.Cluster().Lookup(0, ip); got != want {
 			t.Fatalf("epoch %d answer diverged: %+v vs %+v", e, got, want)
 		}
 		if rep.Status().Epoch != e {
@@ -245,7 +245,7 @@ func TestChaosSlowReplicaRoutedAround(t *testing.T) {
 	f.syncAll(t)
 	f.router.ProbeOnce(context.Background())
 
-	direct := geoserve.NewHandler(geoserve.NewEngine(snap))
+	direct := directHandler(t, snap)
 	dc, _ := localClient(fleetMux{"direct": direct}, nil)
 	_, wantSingle := get(t, dc, "http://direct/v1/locate?ip=10.3.0.1")
 	ips := batchIPs(12)
@@ -308,7 +308,7 @@ func TestChaosRollingDrainZeroLoss(t *testing.T) {
 	f.syncAll(t)
 	f.router.ProbeOnce(context.Background())
 
-	direct := geoserve.NewHandler(geoserve.NewEngine(snap))
+	direct := directHandler(t, snap)
 	dc, _ := localClient(fleetMux{"direct": direct}, nil)
 	_, wantSingle := get(t, dc, "http://direct/v1/locate?ip=10.6.0.77")
 	ips := batchIPs(15)

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"geonet/internal/faultinject"
-	"geonet/internal/geoserve"
 )
 
 // TestChaosCorruptFetchEventuallyRecovers hammers the replication path
@@ -43,7 +42,7 @@ func TestChaosCorruptFetchEventuallyRecovers(t *testing.T) {
 			}
 			rep.SyncOnce(context.Background())
 			// The invariant under fire: whatever is serving was published.
-			if e := rep.Engine(); e != nil && !published[e.Snapshot().Digest()] {
+			if e := rep.Cluster(); e != nil && !published[e.Snapshot().Digest()] {
 				t.Fatalf("serving an unpublished snapshot at epoch %d", rep.Epoch())
 			}
 		}
@@ -84,7 +83,7 @@ func TestChaosBuilderDeathFleetStaysUp(t *testing.T) {
 		}
 	}
 
-	direct := geoserve.NewHandler(geoserve.NewEngine(snap))
+	direct := directHandler(t, snap)
 	dc, _ := localClient(fleetMux{"direct": direct}, nil)
 	f.router.ProbeOnce(context.Background())
 	if st := f.router.Status(); st.HealthyReplicas != 2 || st.Epoch != 1 {
@@ -94,7 +93,7 @@ func TestChaosBuilderDeathFleetStaysUp(t *testing.T) {
 		rCode, rBody := get(t, f.client, "http://router"+q)
 		dCode, dBody := get(t, dc, "http://direct"+q)
 		if rCode != dCode || rBody != dBody {
-			t.Fatalf("%s during builder outage: router (%d) %q vs engine (%d) %q", q, rCode, rBody, dCode, dBody)
+			t.Fatalf("%s during builder outage: router (%d) %q vs direct (%d) %q", q, rCode, rBody, dCode, dBody)
 		}
 	}
 	ips := batchIPs(20)
@@ -119,7 +118,7 @@ func TestChaosReplicaFlapNoWrongAnswers(t *testing.T) {
 		return faultinject.Clean
 	}
 	f := newFleet(t, 3, snap, decide)
-	direct := geoserve.NewHandler(geoserve.NewEngine(snap))
+	direct := directHandler(t, snap)
 	dc, _ := localClient(fleetMux{"direct": direct}, nil)
 	_, wantSingle := get(t, dc, "http://direct/v1/locate?ip=10.4.0.2")
 	ips := batchIPs(15)

@@ -12,6 +12,17 @@ import (
 	"geonet/internal/rng"
 )
 
+// directHandler serves snap straight from a one-shard cluster: the
+// reference a replica's or router's answers must match byte for byte.
+func directHandler(tb testing.TB, snap *geoserve.Snapshot) http.Handler {
+	tb.Helper()
+	c, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return geoserve.NewClusterHandler(c)
+}
+
 // makeSnapshot assembles a small synthetic snapshot through
 // geoserve.FromColumns so fleet tests need no pipeline run. Content is
 // deterministic in (seed, nPrefixes, nASNs).

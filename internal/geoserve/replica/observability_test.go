@@ -271,7 +271,8 @@ func normalizeMetrics(body string) string {
 
 // TestGoldenMetricsFamilies pins the full metric surface — family
 // names, help text, label sets and histogram bucket layouts — of all
-// four handler kinds against a golden file. Values are normalized, so
+// three handler kinds (cluster, replica, router) against a golden
+// file. Values are normalized, so
 // the golden only changes when the exposition contract does; refresh
 // deliberately with -update.
 func TestGoldenMetricsFamilies(t *testing.T) {
@@ -289,8 +290,6 @@ func TestGoldenMetricsFamilies(t *testing.T) {
 	section := func(name, body string) {
 		fmt.Fprintf(&got, "== %s ==\n%s\n", name, normalizeMetrics(body))
 	}
-
-	section("engine", scrape(geoserve.NewHandler(geoserve.NewEngine(snap))))
 
 	cluster, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{Shards: 2})
 	if err != nil {

@@ -10,7 +10,6 @@ import (
 	"time"
 
 	"geonet/internal/faultinject"
-	"geonet/internal/geoserve"
 	"geonet/internal/geoserve/snapfile"
 )
 
@@ -31,9 +30,9 @@ func TestReplicaSyncAndServe(t *testing.T) {
 		t.Fatalf("epoch %d, want 1", rep.Epoch())
 	}
 
-	// The replica's API answers are byte-identical to a direct engine
-	// over the same snapshot.
-	direct := geoserve.NewHandler(geoserve.NewEngine(snap1))
+	// The replica's API answers are byte-identical to serving the same
+	// snapshot directly.
+	direct := directHandler(t, snap1)
 	c2, _ := localClient(fleetMux{"rep": rep.Handler(), "direct": direct}, nil)
 	for _, q := range []string{
 		"/v1/locate?ip=10.0.0.1",
@@ -45,7 +44,7 @@ func TestReplicaSyncAndServe(t *testing.T) {
 		st1, b1 := get(t, c2, "http://rep"+q)
 		st2, b2 := get(t, c2, "http://direct"+q)
 		if st1 != st2 || b1 != b2 {
-			t.Fatalf("%s diverges: replica (%d) %q vs engine (%d) %q", q, st1, b1, st2, b2)
+			t.Fatalf("%s diverges: replica (%d) %q vs direct (%d) %q", q, st1, b1, st2, b2)
 		}
 	}
 
@@ -134,7 +133,7 @@ func TestReplicaResumesTruncatedFetch(t *testing.T) {
 	if st.Resumes != 1 || st.Epoch != 1 || st.FetchFailures != 1 {
 		t.Fatalf("status %+v, want one resume into epoch 1", st)
 	}
-	if rep.Engine().Snapshot().Digest() != snap.Digest() {
+	if rep.Cluster().Snapshot().Digest() != snap.Digest() {
 		t.Fatal("resumed snapshot digest mismatch")
 	}
 }
@@ -171,7 +170,7 @@ func TestReplicaVerifyRejectsCorruptFetch(t *testing.T) {
 		t.Fatalf("corrupt sync: swapped=%v err=%v", swapped, err)
 	}
 	// Last-good epoch still serving.
-	if rep.Epoch() != 1 || rep.Engine().Snapshot().Digest() != snap1.Digest() {
+	if rep.Epoch() != 1 || rep.Cluster().Snapshot().Digest() != snap1.Digest() {
 		t.Fatalf("after corrupt fetch: epoch %d", rep.Epoch())
 	}
 	// A corrupt complete download is discarded, not resumed into.
@@ -185,7 +184,7 @@ func TestReplicaVerifyRejectsCorruptFetch(t *testing.T) {
 	if swapped, err = rep.SyncOnce(context.Background()); err != nil || !swapped {
 		t.Fatalf("recovery sync: swapped=%v err=%v", swapped, err)
 	}
-	if rep.Epoch() != 2 || rep.Engine().Snapshot().Digest() != snap2.Digest() {
+	if rep.Epoch() != 2 || rep.Cluster().Snapshot().Digest() != snap2.Digest() {
 		t.Fatalf("recovery landed on epoch %d", rep.Epoch())
 	}
 }

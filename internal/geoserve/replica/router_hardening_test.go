@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"geonet/internal/faultinject"
-	"geonet/internal/geoserve"
 )
 
 // TestRouterPrefersLeastLoaded pins load-aware planning: a replica
@@ -223,8 +222,8 @@ func TestRouterDrain(t *testing.T) {
 	if !st.Draining || st.InFlight != 0 {
 		t.Fatalf("status %+v", st)
 	}
-	// Direct single-engine comparison: answers during drain are real.
-	direct := geoserve.NewHandler(geoserve.NewEngine(snap))
+	// Direct one-shard comparison: answers during drain are real.
+	direct := directHandler(t, snap)
 	dc, _ := localClient(fleetMux{"direct": direct}, nil)
 	_, want := get(t, dc, "http://direct/v1/locate?ip=10.4.0.200")
 	if _, got := get(t, f.client, "http://router/v1/locate?ip=10.4.0.200"); got != want {

@@ -117,13 +117,13 @@ func TestRouterShedsWithNoHealthyReplica(t *testing.T) {
 	}
 }
 
-// TestRouterMatchesEngineByteForByte pins that routed answers — single
-// lookups and scattered batches — are byte-identical to one engine
+// TestRouterMatchesDirectByteForByte pins that routed answers — single
+// lookups and scattered batches — are byte-identical to one cluster
 // over the same snapshot.
-func TestRouterMatchesEngineByteForByte(t *testing.T) {
+func TestRouterMatchesDirectByteForByte(t *testing.T) {
 	snap := makeSnapshot(t, 11, 40, 10)
 	f := newFleet(t, 3, snap, nil)
-	direct := geoserve.NewHandler(geoserve.NewEngine(snap))
+	direct := directHandler(t, snap)
 	dc, _ := localClient(fleetMux{"direct": direct}, nil)
 
 	for _, q := range []string{
@@ -137,7 +137,7 @@ func TestRouterMatchesEngineByteForByte(t *testing.T) {
 		rCode, rBody := get(t, f.client, "http://router"+q)
 		dCode, dBody := get(t, dc, "http://direct"+q)
 		if rCode != dCode || rBody != dBody {
-			t.Fatalf("%s diverges: router (%d) %q vs engine (%d) %q", q, rCode, rBody, dCode, dBody)
+			t.Fatalf("%s diverges: router (%d) %q vs direct (%d) %q", q, rCode, rBody, dCode, dBody)
 		}
 	}
 
@@ -147,7 +147,7 @@ func TestRouterMatchesEngineByteForByte(t *testing.T) {
 		resp, rBody := postBatch(t, f.client, "http://router", "alpha", ips)
 		dResp, dBody := postBatch(t, dc, "http://direct", "alpha", ips)
 		if resp.StatusCode != dResp.StatusCode || rBody != dBody {
-			t.Fatalf("batch n=%d diverges:\nrouter (%d) %s\nengine (%d) %s", n, resp.StatusCode, rBody, dResp.StatusCode, dBody)
+			t.Fatalf("batch n=%d diverges:\nrouter (%d) %s\ndirect (%d) %s", n, resp.StatusCode, rBody, dResp.StatusCode, dBody)
 		}
 		if e := resp.Header.Get("X-Geo-Epoch"); e != "1" {
 			t.Fatalf("batch epoch header %q", e)
@@ -158,7 +158,7 @@ func TestRouterMatchesEngineByteForByte(t *testing.T) {
 	resp, rBody := postBatch(t, f.client, "http://router", "nope", batchIPs(4))
 	dResp, dBody := postBatch(t, dc, "http://direct", "nope", batchIPs(4))
 	if resp.StatusCode != http.StatusBadRequest || resp.StatusCode != dResp.StatusCode || rBody != dBody {
-		t.Fatalf("unknown-mapper batch: router (%d) %q vs engine (%d) %q", resp.StatusCode, rBody, dResp.StatusCode, dBody)
+		t.Fatalf("unknown-mapper batch: router (%d) %q vs direct (%d) %q", resp.StatusCode, rBody, dResp.StatusCode, dBody)
 	}
 	if st := f.router.Status(); st.Retries != 0 || st.Sheds != 0 {
 		t.Fatalf("healthy fleet needed retries: %+v", st)
@@ -178,7 +178,7 @@ func TestRouterEjectsAndReadmits(t *testing.T) {
 		return faultinject.Clean
 	}
 	f := newFleet(t, 2, snap, decide)
-	direct := geoserve.NewHandler(geoserve.NewEngine(snap))
+	direct := directHandler(t, snap)
 	dc, _ := localClient(fleetMux{"direct": direct}, nil)
 	_, want := get(t, dc, "http://direct/v1/locate?ip=10.2.0.1")
 
@@ -248,11 +248,11 @@ func TestRouterBatchNeverBlendsEpochs(t *testing.T) {
 	if resp.StatusCode != 200 {
 		t.Fatalf("batch status %d: %s", resp.StatusCode, body)
 	}
-	// The answer must be exactly one engine's output: either all
+	// The answer must be exactly one snapshot's output: either all
 	// epoch 1 (rep0) or all epoch 2 (rep1), matching its epoch header.
 	dc, _ := localClient(fleetMux{
-		"e1": geoserve.NewHandler(geoserve.NewEngine(snap1)),
-		"e2": geoserve.NewHandler(geoserve.NewEngine(snap2)),
+		"e1": directHandler(t, snap1),
+		"e2": directHandler(t, snap2),
 	}, nil)
 	_, want1 := postBatch(t, dc, "http://e1", "alpha", ips)
 	_, want2 := postBatch(t, dc, "http://e2", "alpha", ips)

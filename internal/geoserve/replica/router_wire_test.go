@@ -26,13 +26,13 @@ func postWireBin(tb testing.TB, client *http.Client, url string, mapper uint16, 
 
 // TestRouterWireByteIdentity extends the byte-for-byte routing pin to
 // the binary endpoint: a /v1/locate/bin batch forwarded through the
-// router answers the exact bytes the engine serves directly, for both
-// mapper ids and the default-mapper sentinel, and decodes to answers
-// matching in-process lookups.
+// router answers the exact bytes a direct one-shard cluster serves,
+// for both mapper ids and the default-mapper sentinel, and decodes to
+// answers matching in-process lookups.
 func TestRouterWireByteIdentity(t *testing.T) {
 	snap := makeSnapshot(t, 17, 40, 10)
 	f := newFleet(t, 3, snap, nil)
-	direct := geoserve.NewHandler(geoserve.NewEngine(snap))
+	direct := directHandler(t, snap)
 	dc, _ := localClient(fleetMux{"direct": direct}, nil)
 
 	var ips []uint32
@@ -48,7 +48,7 @@ func TestRouterWireByteIdentity(t *testing.T) {
 		rCode, rBody := postWireBin(t, f.client, "http://router", mapper, ips)
 		dCode, dBody := postWireBin(t, dc, "http://direct", mapper, ips)
 		if rCode != 200 || rCode != dCode || !bytes.Equal(rBody, dBody) {
-			t.Fatalf("mapper %d: router (%d, %d bytes) diverges from engine (%d, %d bytes)",
+			t.Fatalf("mapper %d: router (%d, %d bytes) diverges from direct (%d, %d bytes)",
 				mapper, rCode, len(rBody), dCode, len(dBody))
 		}
 		_, _, answers, err := geoserve.DecodeWireBatch(rBody)
@@ -72,6 +72,6 @@ func TestRouterWireByteIdentity(t *testing.T) {
 	rCode, rBody := postWireBin(t, f.client, "http://router", 9, ips[:2])
 	dCode, dBody := postWireBin(t, dc, "http://direct", 9, ips[:2])
 	if rCode != http.StatusBadRequest || rCode != dCode || !bytes.Equal(rBody, dBody) {
-		t.Fatalf("bad-mapper bin: router (%d) %q vs engine (%d) %q", rCode, rBody, dCode, dBody)
+		t.Fatalf("bad-mapper bin: router (%d) %q vs direct (%d) %q", rCode, rBody, dCode, dBody)
 	}
 }

@@ -38,7 +38,7 @@ func TestReplicaDeltaSync(t *testing.T) {
 	if st.DeltaSyncs != 1 || st.DeltaFallbacks != 0 || st.Fetches != 1 {
 		t.Fatalf("counters %+v: want 1 delta sync, 0 fallbacks, 1 full fetch", st)
 	}
-	if rep.Engine().Snapshot().Digest() != s2.Digest() {
+	if rep.Cluster().Snapshot().Digest() != s2.Digest() {
 		t.Fatal("served snapshot is not the published epoch")
 	}
 }
@@ -70,9 +70,9 @@ func TestReplicaDeltaIneligibleUsesFullFetch(t *testing.T) {
 }
 
 // TestReplicaWarmupGate pins warm-up gating: an install the self-probe
-// rejects keeps the last-good epoch serving and reports warmup_failed;
-// once the probe passes again the swap goes through and the flag
-// clears.
+// rejects keeps the last-good epoch serving, reports warmup_failed and
+// leaves the serving swap count alone; once the probe passes again the
+// swap goes through and the flag clears.
 func TestReplicaWarmupGate(t *testing.T) {
 	pub := NewPublisher()
 	s1, s2 := makeSnapshot(t, 3, 20, 6), makeSnapshot(t, 4, 20, 6)
@@ -86,7 +86,7 @@ func TestReplicaWarmupGate(t *testing.T) {
 	}
 
 	probeErr := errors.New("seeded probe answered garbage")
-	rep.warmupFn = func(warmTarget, uint64) error { return probeErr }
+	rep.warmupFn = func(*geoserve.Cluster, uint64) error { return probeErr }
 	if _, err := pub.Publish(s2); err != nil {
 		t.Fatal(err)
 	}
@@ -98,7 +98,10 @@ func TestReplicaWarmupGate(t *testing.T) {
 	if !st.WarmupFailed || st.WarmupFailures != 1 {
 		t.Fatalf("status %+v: want warmup_failed", st)
 	}
-	if rep.Epoch() != 1 || rep.Engine().Snapshot().Digest() != s1.Digest() {
+	if st.Serving.Snapshot.Swaps != 0 {
+		t.Fatalf("rejected epoch counted as a swap: %d", st.Serving.Snapshot.Swaps)
+	}
+	if rep.Epoch() != 1 || rep.Cluster().Snapshot().Digest() != s1.Digest() {
 		t.Fatalf("gated install moved serving to epoch %d", rep.Epoch())
 	}
 
@@ -107,18 +110,22 @@ func TestReplicaWarmupGate(t *testing.T) {
 		t.Fatalf("recovered sync: swapped=%v err=%v", swapped, err)
 	}
 	st = rep.Status()
-	if st.WarmupFailed || st.Epoch != 2 {
+	if st.WarmupFailed || st.Epoch != 2 || st.Serving.Snapshot.Swaps != 1 {
 		t.Fatalf("status %+v after recovery", st)
 	}
 }
 
 // TestReplicaSelfProbeAcceptsRealSnapshot exercises the default probe
-// against a real engine+snapshot pair (it must pass, not just be
+// against a real cluster+snapshot pair (it must pass, not just be
 // stubbed around).
 func TestReplicaSelfProbeAcceptsRealSnapshot(t *testing.T) {
 	rep := New(Config{BuilderURL: "http://builder"})
 	snap := makeSnapshot(t, 5, 40, 10)
-	if err := rep.selfProbe(geoserve.NewEngine(snap), 7); err != nil {
+	c, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := rep.selfProbe(c, 7); err != nil {
 		t.Fatalf("self-probe rejected a healthy snapshot: %v", err)
 	}
 }
@@ -266,67 +273,69 @@ func TestPublishIdenticalSnapshotNoEpochChurn(t *testing.T) {
 }
 
 // TestReplicaClusterCountersCarryAcrossDeltaSwap pins serving-counter
-// continuity in cluster mode: when an epoch arrives by delta apply the
-// installed cluster must carry the previous epoch's lookup totals,
-// batch counts, per-shard counters and swap count forward, exactly as
-// the engine path does via NewEngineFrom.
+// continuity: when an epoch arrives by delta apply the installed
+// cluster must carry the previous epoch's lookup totals, batch counts,
+// per-shard counters and swap count forward — for the default one-shard
+// replica and a sharded one alike.
 func TestReplicaClusterCountersCarryAcrossDeltaSwap(t *testing.T) {
-	pub := NewPublisher()
-	s1, s2 := makeSnapshot(t, 31, 32, 8), makeSnapshot(t, 32, 32, 8)
-	if _, err := pub.Publish(s1); err != nil {
-		t.Fatal(err)
-	}
-	client, _ := localClient(fleetMux{"builder": pub.Handler()}, nil)
-	rep := New(Config{BuilderURL: "http://builder", Client: client, Shards: 2})
-	if _, err := rep.SyncOnce(context.Background()); err != nil {
-		t.Fatal(err)
-	}
+	for _, shards := range []int{0, 2} {
+		pub := NewPublisher()
+		s1, s2 := makeSnapshot(t, 31, 32, 8), makeSnapshot(t, 32, 32, 8)
+		if _, err := pub.Publish(s1); err != nil {
+			t.Fatal(err)
+		}
+		client, _ := localClient(fleetMux{"builder": pub.Handler()}, nil)
+		rep := New(Config{BuilderURL: "http://builder", Client: client, Shards: shards})
+		if _, err := rep.SyncOnce(context.Background()); err != nil {
+			t.Fatal(err)
+		}
 
-	clu := rep.Cluster()
-	ips := s1.ExactIPs()[:8]
-	for _, ip := range ips {
-		clu.Lookup(0, ip)
-	}
-	out := make([]geoserve.Answer, len(ips))
-	if _, err := clu.LookupBatch(0, ips, out); err != nil {
-		t.Fatal(err)
-	}
-	before := clu.Status()
-	if before.Lookups == 0 || before.Batches == 0 {
-		t.Fatalf("no traffic recorded before the swap: %+v", before)
-	}
+		clu := rep.Cluster()
+		ips := s1.ExactIPs()[:8]
+		for _, ip := range ips {
+			clu.Lookup(0, ip)
+		}
+		out := make([]geoserve.Answer, len(ips))
+		if _, err := clu.LookupBatch(0, ips, out); err != nil {
+			t.Fatal(err)
+		}
+		before := clu.Status()
+		if before.Lookups == 0 || before.Batches == 0 {
+			t.Fatalf("shards=%d: no traffic recorded before the swap: %+v", shards, before)
+		}
 
-	if _, err := pub.Publish(s2); err != nil {
-		t.Fatal(err)
-	}
-	if swapped, err := rep.SyncOnce(context.Background()); err != nil || !swapped {
-		t.Fatalf("delta sync: swapped=%v err=%v", swapped, err)
-	}
-	if st := rep.Status(); st.DeltaSyncs != 1 {
-		t.Fatalf("second epoch did not arrive by delta (%+v) — carry must be pinned on that path", st)
-	}
+		if _, err := pub.Publish(s2); err != nil {
+			t.Fatal(err)
+		}
+		if swapped, err := rep.SyncOnce(context.Background()); err != nil || !swapped {
+			t.Fatalf("shards=%d: delta sync: swapped=%v err=%v", shards, swapped, err)
+		}
+		if st := rep.Status(); st.DeltaSyncs != 1 {
+			t.Fatalf("shards=%d: second epoch did not arrive by delta (%+v) — carry must be pinned on that path", shards, st)
+		}
 
-	after := rep.Cluster().Status()
-	if after.Snapshot.Digest != s2.Digest() {
-		t.Fatalf("cluster serves digest %s, want epoch 2's", after.Snapshot.Digest)
-	}
-	if after.Lookups < before.Lookups {
-		t.Fatalf("lookup counter reset across delta swap: %d -> %d", before.Lookups, after.Lookups)
-	}
-	if after.Batches < before.Batches {
-		t.Fatalf("batch counter reset across delta swap: %d -> %d", before.Batches, after.Batches)
-	}
-	if after.Snapshot.Swaps != 1 {
-		t.Fatalf("swap count %d after one hot swap, want 1", after.Snapshot.Swaps)
-	}
-	var shardBefore, shardAfter uint64
-	for _, s := range before.ShardStats {
-		shardBefore += s.Lookups
-	}
-	for _, s := range after.ShardStats {
-		shardAfter += s.Lookups
-	}
-	if shardAfter < shardBefore {
-		t.Fatalf("per-shard lookup totals reset across delta swap: %d -> %d", shardBefore, shardAfter)
+		after := rep.Cluster().Status()
+		if after.Snapshot.Digest != s2.Digest() {
+			t.Fatalf("shards=%d: cluster serves digest %s, want epoch 2's", shards, after.Snapshot.Digest)
+		}
+		if after.Lookups < before.Lookups {
+			t.Fatalf("shards=%d: lookup counter reset across delta swap: %d -> %d", shards, before.Lookups, after.Lookups)
+		}
+		if after.Batches < before.Batches {
+			t.Fatalf("shards=%d: batch counter reset across delta swap: %d -> %d", shards, before.Batches, after.Batches)
+		}
+		if after.Snapshot.Swaps != 1 {
+			t.Fatalf("shards=%d: swap count %d after one hot swap, want 1", shards, after.Snapshot.Swaps)
+		}
+		var shardBefore, shardAfter uint64
+		for _, s := range before.ShardStats {
+			shardBefore += s.Lookups
+		}
+		for _, s := range after.ShardStats {
+			shardAfter += s.Lookups
+		}
+		if shardAfter < shardBefore {
+			t.Fatalf("shards=%d: per-shard lookup totals reset across delta swap: %d -> %d", shards, shardBefore, shardAfter)
+		}
 	}
 }

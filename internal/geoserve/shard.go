@@ -16,7 +16,7 @@ const maxShards = 256
 // exact-address answers falling inside its address range. The slices
 // alias the parent snapshot's backing arrays (no copies), so splitting
 // a snapshot is O(shards·log n) and a shard lookup is byte-equivalent
-// to the unsharded lookup by construction — the sub-slices partition
+// to Snapshot.lookup by construction — the sub-slices partition
 // the full sorted arrays at the same cut points.
 type shardData struct {
 	snap *Snapshot // parent; digest, mappers and footprints live here
@@ -58,10 +58,11 @@ func (d *shardData) lookup(mapper int, ip uint32) (Answer, method) {
 // owns reports whether ip falls in the shard's address range.
 func (d *shardData) owns(ip uint32) bool { return ip >= d.lo && ip <= d.hi }
 
-// lookupRow mirrors Snapshot.lookupRow over the shard's sub-slices,
-// returning the PARENT snapshot's columnar row (or -1): the shard's
-// cut offsets translate local indices, so wire records and cached JSON
-// tails are shared with the unsharded paths.
+// lookupRow locates ip's answer row over the shard's sub-slices,
+// returning the PARENT snapshot's columnar row (or -1): exact rows
+// follow the prefix rows (Columns order), and the shard's cut offsets
+// translate local indices, so wire records and cached JSON tails are
+// per snapshot, shared by every shard. The row is mapper-independent.
 func (d *shardData) lookupRow(ip uint32) int {
 	if i, ok := search32(d.ips, ip); ok {
 		return len(d.snap.prefixes) + d.ipOff + i
@@ -72,9 +73,10 @@ func (d *shardData) lookupRow(ip uint32) int {
 	return -1
 }
 
-// wireAnswer writes ip's 36-byte wire answer at dst out of the parent
-// snapshot's record slab, like Snapshot.wireAnswer but searching only
-// this shard's sub-slices.
+// wireAnswer writes ip's 36-byte wire answer under mapper at dst and
+// returns the answer's method code. The record bytes are one copy out
+// of the parent snapshot's precomputed slab; a miss copies the static
+// zero record.
 func (d *shardData) wireAnswer(w *wireState, mapper int, ip uint32, dst []byte) method {
 	binary.LittleEndian.PutUint32(dst, ip)
 	row := d.lookupRow(ip)
@@ -99,7 +101,8 @@ func splitSnapshot(snap *Snapshot, n int) (datas []*shardData, starts []uint32, 
 	if n > maxShards {
 		return nil, nil, fmt.Errorf("geoserve: shard count %d exceeds max %d", n, maxShards)
 	}
-	if n > len(snap.prefixes) {
+	// One shard needs no cuts, so it serves even an empty index.
+	if n > 1 && n > len(snap.prefixes) {
 		return nil, nil, fmt.Errorf("geoserve: %d shards over %d /24 intervals", n, len(snap.prefixes))
 	}
 	starts = make([]uint32, n)
@@ -160,13 +163,13 @@ func shardIndexOf(starts []uint32, ip uint32) int {
 // shed count. It lives in clusterMetrics rather than the Shard itself
 // so NewClusterFrom can hand a replacement cluster the previous one's
 // counters — epochs advancing by delta apply must not reset per-shard
-// accounting (the same continuity NewEngineFrom gives a single engine).
+// accounting.
 type shardState struct {
 	m    metrics
 	shed atomic.Uint64
 }
 
-// Shard is one independently hot-swappable serving engine inside a
+// Shard is one independently hot-swappable serving unit inside a
 // Cluster: its own atomic data pointer (readers never block on a
 // swap), its own metrics, and its own in-flight budget for batch work
 // (the load-shedding unit).

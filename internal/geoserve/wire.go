@@ -412,7 +412,7 @@ func MarshalAnswerJSON(a Answer, mapperName string) []byte {
 // (row order matches Columns: prefix answers, then exact answers), the
 // 8-byte epoch tag, and the lazily-filled preserialized JSON response
 // tails for the single-lookup path. A snapshot is immutable, so the
-// state is built once and the engine's atomic snapshot swap is the
+// state is built once and the cluster's atomic snapshot swap is the
 // cache invalidation.
 type wireState struct {
 	slabs [][]byte
@@ -493,19 +493,6 @@ func (s *Snapshot) wireMapperIndex(id uint16) (int, bool) {
 	return 0, false
 }
 
-// lookupRow locates ip's answer row in the columnar layout: exact rows
-// follow the prefix rows (Columns order), -1 is a miss. The row is
-// mapper-independent; every mapper's slab shares it.
-func (s *Snapshot) lookupRow(ip uint32) int {
-	if i, ok := search32(s.ips, ip); ok {
-		return len(s.prefixes) + i
-	}
-	if i, ok := search32(s.prefixes, ip&^0xff); ok {
-		return i
-	}
-	return -1
-}
-
 // rowMethod reports the stored method code of (mapper, row) for the
 // metrics path; misses and out-of-range mappers count as methodNone.
 func (s *Snapshot) rowMethod(mapper, row int) method {
@@ -516,20 +503,6 @@ func (s *Snapshot) rowMethod(mapper, row int) method {
 		return s.prefixAns[mapper][row].method
 	}
 	return s.ipAns[mapper][row-len(s.prefixes)].method
-}
-
-// wireAnswer writes ip's 36-byte wire answer under mapper at dst and
-// returns the answer's method code. The record bytes are one copy out
-// of the precomputed slab; a miss copies the static zero record.
-func (s *Snapshot) wireAnswer(w *wireState, mapper int, ip uint32, dst []byte) method {
-	binary.LittleEndian.PutUint32(dst, ip)
-	row := s.lookupRow(ip)
-	if row < 0 || mapper < 0 || mapper >= len(s.mappers) {
-		copy(dst[4:WireAnswerSize], zeroWireRecord[:])
-		return methodNone
-	}
-	copy(dst[4:WireAnswerSize], w.slabs[mapper][row*wireRecordSize:])
-	return method(dst[4+wireOffMethod])
 }
 
 // jsonTail returns the preserialized /v1/locate response tail for

@@ -87,19 +87,19 @@ func TestWriteWireFuzzCorpus(t *testing.T) {
 		t.Fatal(err)
 	}
 	snap := syntheticSnapshot(10<<24, 9, 2, 0)
-	e := NewEngine(snap)
+	c := oneShard(t, snap)
 	probes := probeAddrs(snap)
 
 	cases := map[string][]byte{
 		"batch_req.wire":  AppendWireBatchRequest(nil, WireMapperDefault, probes),
-		"batch_resp.wire": engineWireResponse(t, e, 1, probes),
+		"batch_resp.wire": clusterWireResponse(t, c, 1, probes),
 	}
 	streamReq := AppendWireStreamHeader(nil, 0)
 	streamReq = AppendWireChunk(streamReq, probes[:3])
 	streamReq = AppendWireChunk(streamReq, probes[3:])
 	cases["stream_req.wire"] = AppendWireStreamEnd(streamReq)
 
-	resp := engineWireResponse(t, e, 0, probes[:3])
+	resp := clusterWireResponse(t, c, 0, probes[:3])
 	streamResp := bytes.Clone(resp[:wireHeaderSize])
 	streamResp[5] = wireKindStreamResp
 	streamResp = append(streamResp, resp[wireHeaderSize:]...)

@@ -1,7 +1,7 @@
 package geoserve
 
 // Internal wire-protocol tests over synthetic snapshots: framing
-// round-trips, typed decode errors, engine/cluster byte-identity of
+// round-trips, typed decode errors, shard-count byte-identity of
 // binary answers, the HTTP boundary of /v1/locate/bin, and the
 // streaming path (full duplex, epoch tags across a mid-stream swap,
 // in-band error frames). These reach the unexported encode/parse
@@ -82,8 +82,8 @@ func TestWireParseTypedErrors(t *testing.T) {
 
 func TestWireDecodeTypedErrors(t *testing.T) {
 	snap := syntheticSnapshot(10<<24, 9, 2, 0)
-	e := NewEngine(snap)
-	resp := engineWireResponse(t, e, 1, []uint32{snap.prefixes[0] + 5})
+	c := oneShard(t, snap)
+	resp := clusterWireResponse(t, c, 1, []uint32{snap.prefixes[0] + 5})
 
 	truncHeader := resp[:wireHeaderSize-1]
 	truncFrame := resp[:wireHeaderSize+2]
@@ -121,11 +121,11 @@ func TestWireDecodeTypedErrors(t *testing.T) {
 	}
 }
 
-// engineWireResponse drives POST /v1/locate/bin through the full HTTP
-// handler and returns the response body.
-func engineWireResponse(t *testing.T, e *Engine, mapper uint16, ips []uint32) []byte {
+// clusterWireResponse drives POST /v1/locate/bin through the full
+// HTTP handler and returns the response body.
+func clusterWireResponse(t *testing.T, c *Cluster, mapper uint16, ips []uint32) []byte {
 	t.Helper()
-	return handlerWireResponse(t, newHandler(e, nil), mapper, ips)
+	return handlerWireResponse(t, newHandler(c, nil), mapper, ips)
 }
 
 func handlerWireResponse(t *testing.T, h http.Handler, mapper uint16, ips []uint32) []byte {
@@ -146,10 +146,10 @@ func handlerWireResponse(t *testing.T, h http.Handler, mapper uint16, ips []uint
 // the in-process Lookup answer for every probe, on every mapper.
 func TestWireAnswersMatchLookup(t *testing.T) {
 	snap := syntheticSnapshot(10<<24, 23, 2, 0)
-	e := NewEngine(snap)
+	c := oneShard(t, snap)
 	probes := wireProbeIPs(snap)
 	for m := 0; m < len(snap.mappers); m++ {
-		mapper, tag, answers, err := DecodeWireBatch(engineWireResponse(t, e, uint16(m), probes))
+		mapper, tag, answers, err := DecodeWireBatch(clusterWireResponse(t, c, uint16(m), probes))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -174,10 +174,10 @@ func TestWireAnswersMatchLookup(t *testing.T) {
 // and the response echoing the resolved index.
 func TestWireDefaultMapper(t *testing.T) {
 	snap := syntheticSnapshot(10<<24, 9, 2, 0)
-	e := NewEngine(snap)
+	c := oneShard(t, snap)
 	probes := []uint32{snap.prefixes[0] + 7}
-	def := engineWireResponse(t, e, WireMapperDefault, probes)
-	zero := engineWireResponse(t, e, 0, probes)
+	def := clusterWireResponse(t, c, WireMapperDefault, probes)
+	zero := clusterWireResponse(t, c, 0, probes)
 	if !bytes.Equal(def, zero) {
 		t.Fatal("WireMapperDefault response differs from mapper 0's")
 	}
@@ -187,15 +187,14 @@ func TestWireDefaultMapper(t *testing.T) {
 	}
 }
 
-// TestWireEngineClusterByteIdentity pins the acceptance property at
-// the core: the /v1/locate/bin response over a cluster is byte-
-// identical to the unsharded engine's at several shard counts, and
-// across a hot-swap to an identical rebuild.
-func TestWireEngineClusterByteIdentity(t *testing.T) {
+// TestWireShardCountByteIdentity pins the acceptance property at the
+// core: the /v1/locate/bin response is byte-identical at every shard
+// count to the one-shard cluster's, and across a hot-swap to an
+// identical rebuild.
+func TestWireShardCountByteIdentity(t *testing.T) {
 	snap := syntheticSnapshot(10<<24, 23, 2, 0)
-	e := NewEngine(snap)
 	probes := wireProbeIPs(snap)
-	want := engineWireResponse(t, e, 0, probes)
+	want := clusterWireResponse(t, oneShard(t, snap), 0, probes)
 
 	for _, shards := range []int{1, 2, 3, 8} {
 		c, err := NewCluster(syntheticSnapshot(10<<24, 23, 2, 0), ClusterConfig{Shards: shards})
@@ -204,7 +203,7 @@ func TestWireEngineClusterByteIdentity(t *testing.T) {
 		}
 		got := handlerWireResponse(t, newHandler(c, nil), 0, probes)
 		if !bytes.Equal(got, want) {
-			t.Fatalf("cluster(%d shards) wire response differs from engine's", shards)
+			t.Fatalf("cluster(%d shards) wire response differs from one shard's", shards)
 		}
 		// Hot-swap to an identical rebuild: bytes must not move.
 		if _, err := c.Swap(syntheticSnapshot(10<<24, 23, 2, 0)); err != nil {
@@ -219,7 +218,7 @@ func TestWireEngineClusterByteIdentity(t *testing.T) {
 
 func TestWireBinHTTPErrors(t *testing.T) {
 	snap := syntheticSnapshot(10<<24, 9, 2, 0)
-	h := newHandler(NewEngine(snap), nil)
+	h := newHandler(oneShard(t, snap), nil)
 	post := func(body []byte) *httptest.ResponseRecorder {
 		w := httptest.NewRecorder()
 		h.ServeHTTP(w, httptest.NewRequest("POST", "/v1/locate/bin", bytes.NewReader(body)))
@@ -319,13 +318,13 @@ func (sc *streamClient) close(t *testing.T) {
 
 // TestWireStream drives the streaming path over a real HTTP server:
 // ping-pong chunks, answers matching Lookup, the epoch tag flipping
-// when the engine hot-swaps mid-stream (and never inside a frame), and
+// when the cluster hot-swaps mid-stream (and never inside a frame), and
 // a clean terminator echo.
 func TestWireStream(t *testing.T) {
 	snap1 := syntheticSnapshot(10<<24, 23, 2, 0)
 	snap2 := syntheticSnapshot(10<<24, 23, 2, 1.5) // different content
-	e := NewEngine(snap1)
-	srv := httptest.NewServer(newHandler(e, nil))
+	c := oneShard(t, snap1)
+	srv := httptest.NewServer(newHandler(c, nil))
 	defer srv.Close()
 
 	sc := dialStream(t, srv.URL, 1)
@@ -342,7 +341,9 @@ func TestWireStream(t *testing.T) {
 	}
 
 	// Hot-swap between chunks: the next frame is wholly the new epoch.
-	e.Swap(snap2)
+	if _, err := c.Swap(snap2); err != nil {
+		t.Fatal(err)
+	}
 	answers, tag = sc.roundTrip(t, probes)
 	if tag != snap2.wireTag() {
 		t.Fatalf("post-swap tag %016x, want %016x", tag, snap2.wireTag())
@@ -384,15 +385,15 @@ func TestWireStreamOverloaded(t *testing.T) {
 	sc.resp.Body.Close()
 }
 
-// TestWireStreamSwapRace races concurrent streams against engine
+// TestWireStreamSwapRace races concurrent streams against cluster
 // hot-swaps; under -race this proves the streaming path shares no
 // mutable state across goroutines. Every frame must carry one of the
 // two live epochs' tags.
 func TestWireStreamSwapRace(t *testing.T) {
 	snapA := syntheticSnapshot(10<<24, 23, 2, 0)
 	snapB := syntheticSnapshot(10<<24, 23, 2, 2.5)
-	e := NewEngine(snapA)
-	srv := httptest.NewServer(newHandler(e, nil))
+	c := oneShard(t, snapA)
+	srv := httptest.NewServer(newHandler(c, nil))
 	defer srv.Close()
 
 	tagA, tagB := snapA.wireTag(), snapB.wireTag()
@@ -410,10 +411,13 @@ func TestWireStreamSwapRace(t *testing.T) {
 				return
 			default:
 			}
+			next := snapB
 			if flip {
-				e.Swap(snapA)
-			} else {
-				e.Swap(snapB)
+				next = snapA
+			}
+			if _, err := c.Swap(next); err != nil {
+				t.Error(err)
+				return
 			}
 			flip = !flip
 		}

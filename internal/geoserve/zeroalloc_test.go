@@ -20,34 +20,23 @@ func TestLookupZeroAlloc(t *testing.T) {
 		t.Fatal("fixture has no public interface addresses")
 	}
 
-	e := geoserve.NewEngine(snap)
-	// Registering on a handler attaches the engine's metrics to a live
-	// registry, same as production serving.
-	geoserve.NewObservedHandler(e, obs.NewObservability("engine"))
-	i := 0
-	if n := testing.AllocsPerRun(1000, func() {
-		a := e.Lookup(i&1, hits[i%len(hits)])
-		if a.IP == 0 {
-			t.Fatal("bad answer")
+	for _, shards := range []int{1, 4} {
+		c, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{Shards: shards})
+		if err != nil {
+			t.Fatal(err)
 		}
-		i++
-	}); n != 0 {
-		t.Errorf("Engine.Lookup: %v allocs/op, want 0", n)
-	}
-
-	c, err := geoserve.NewCluster(snap, geoserve.ClusterConfig{Shards: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	geoserve.NewObservedClusterHandler(c, obs.NewObservability("cluster"))
-	i = 0
-	if n := testing.AllocsPerRun(1000, func() {
-		a := c.Lookup(i&1, hits[i%len(hits)])
-		if a.IP == 0 {
-			t.Fatal("bad answer")
+		// Registering on a handler attaches the cluster's metrics to a
+		// live registry, same as production serving.
+		geoserve.NewObservedClusterHandler(c, obs.NewObservability("cluster"))
+		i := 0
+		if n := testing.AllocsPerRun(1000, func() {
+			a := c.Lookup(i&1, hits[i%len(hits)])
+			if a.IP == 0 {
+				t.Fatal("bad answer")
+			}
+			i++
+		}); n != 0 {
+			t.Errorf("Cluster.Lookup (%d shards): %v allocs/op, want 0", shards, n)
 		}
-		i++
-	}); n != 0 {
-		t.Errorf("Cluster.Lookup: %v allocs/op, want 0", n)
 	}
 }
